@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import MecoffError
 from .harness import SweepSpec, emit, run_sweep
 from .methods import METHOD_IDS
 from .scenario import demo_config, load_config
@@ -36,7 +36,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         snr_points_db=_parse_snrs(args.snr) if args.snr else None,
         replications=args.reps,
         seed=args.seed,
-        config_path=args.config,
     )
     rows = run_sweep(spec, workers=args.workers)
     written = emit(rows, args.format, args.out)
@@ -106,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (MecoffError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,15 @@
 """Exception types shared across the package."""
 
 
-class InvalidParameterError(ValueError):
+class MecoffError(Exception):
+    """Base of every error the package raises for a bad input or limit."""
+
+
+class InvalidParameterError(MecoffError, ValueError):
     """An argument is outside the domain a function is defined on."""
 
 
-class ConstraintViolationError(RuntimeError):
+class ConstraintViolationError(MecoffError, RuntimeError):
     """A hard resource limit (C1..C5) was exceeded.
 
     `constraints` names the violated limits, e.g. ("C4",).
@@ -16,9 +20,9 @@ class ConstraintViolationError(RuntimeError):
         self.constraints = tuple(constraints)
 
 
-class DegenerateSignalError(ValueError):
+class DegenerateSignalError(MecoffError, ValueError):
     """A correlation was requested against a zero-variance signal."""
 
 
-class ConfigError(ValueError):
+class ConfigError(MecoffError, ValueError):
     """A scenario or sweep configuration field is invalid."""

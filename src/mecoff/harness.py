@@ -32,7 +32,6 @@ class SweepSpec:
     snr_points_db: tuple[float, ...] | None = None  # None: use the config's list
     replications: int = 100
     seed: int = 42
-    config_path: str | None = None
 
     def __post_init__(self):
         if not self.methods:

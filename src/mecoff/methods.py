@@ -1,4 +1,4 @@
-"""The five-method comparison ladder.
+"""The five-method comparison ladder, one row of stages per method.
 
 M1  task granularity, least-energy feasible placement at maximum clock and
     power, no tuning.
@@ -7,23 +7,43 @@ M3  M2 at unit granularity (tasks split before the search).
 M4  M3 plus time-domain frame filtering to shrink the workload.
 M5  M4 plus task-domain dedup and shared-source merging.
 
-A user whose placement tree yields no feasible leaf fails at decision time:
-all of its tasks are recorded as failed at zero energy.
+Every row ends in the same leaf scorer, `optimize_user`. A user whose
+placement tree yields no feasible leaf fails at decision time: all of its
+tasks are recorded as failed at zero energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .allocate import enumerate_feasible, order_units
+# Not called here, but bench/layers.py traces these two names at this binding.
+from .allocate import enumerate_feasible  # noqa: F401
 from .correlation import Frame, dedup, filter_multi, filter_single, merge_shared_source
 from .errors import InvalidParameterError
-from .model import ChannelState, DeviceCaps, MecCaps, Unit
+from .model import Unit
 from .scenario import Scenario, UserScenario
-from .schedule import assignment_from_bits, evaluate
+from .schedule import evaluate  # noqa: F401
 from .tune import TunedSolution, optimize_user
 
-METHOD_IDS = ("M1", "M2", "M3", "M4", "M5")
+
+@dataclass(frozen=True)
+class Method:
+    """The stages of one method, applied in field order."""
+
+    time_filter: bool  # scale units by their task's kept frame fraction
+    atomic: bool  # collapse each task to one unit
+    reduce: bool  # dedup identical units, merge shared-source units
+    tune: bool  # tune each leaf's clock and power instead of using the maxima
+
+
+LADDER = {
+    "M1": Method(time_filter=False, atomic=True, reduce=False, tune=False),
+    "M2": Method(time_filter=False, atomic=True, reduce=False, tune=True),
+    "M3": Method(time_filter=False, atomic=False, reduce=False, tune=True),
+    "M4": Method(time_filter=True, atomic=False, reduce=False, tune=True),
+    "M5": Method(time_filter=True, atomic=False, reduce=True, tune=True),
+}
+METHOD_IDS = tuple(LADDER)
 
 
 @dataclass(frozen=True)
@@ -90,68 +110,29 @@ def _apply_time_filter(user: UserScenario, alpha: float, beta: float, mode: str)
     )
 
 
-def _best_at_maxima(
-    units: tuple[Unit, ...], ch: ChannelState, mec: MecCaps, caps: DeviceCaps
-) -> TunedSolution | None:
-    """Cheapest feasible placement at (f_max, p_max), untuned."""
-    feasible_set = enumerate_feasible(order_units(units), caps.f_max, caps.p_max, ch, mec, caps)
-    if not feasible_set.bits:
-        return None
-    best_key = None
-    best = None
-    for bits in feasible_set.bits:
-        asg = assignment_from_bits(feasible_set.order, bits)
-        result = evaluate(asg, units, caps.f_max, caps.p_max, ch, mec, caps)
-        key = (result.e_total, sum(bits), bits)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = TunedSolution(
-                assignment=asg,
-                f=caps.f_max,
-                p=caps.p_max,
-                energy=result.e_total,
-                schedule=result,
-            )
-    return best
-
-
 def run_method(method_id: str, scenario: Scenario, user_index: int) -> MethodResult:
     """Run one method for one user of a scenario."""
-    if method_id not in METHOD_IDS:
+    method = LADDER.get(method_id)
+    if method is None:
         raise InvalidParameterError(f"unknown method {method_id!r}, expected one of {METHOD_IDS}")
     user = scenario.users[user_index]
     cfg = scenario.config
     total_tasks = user.n_tasks
 
-    if method_id in ("M1", "M2"):
-        work = _atomic_tasks(user.units)
-    else:
-        work = user.units
-        if method_id in ("M4", "M5"):
-            work = _apply_time_filter(user, cfg.alpha, cfg.beta, cfg.filter_mode)
-        if method_id == "M5":
-            work, _ = dedup(work)
-            work, _ = merge_shared_source(work)
-
-    if method_id == "M1":
-        solution = _best_at_maxima(work, user.channel, scenario.mec, scenario.caps)
-    else:
-        solution = optimize_user(work, user.channel, scenario.mec, scenario.caps)
-
-    if solution is None:
-        return MethodResult(
-            user=user_index,
-            energy=0.0,
-            failed_tasks=total_tasks,
-            total_tasks=total_tasks,
-            ts=0.0,
-            solution=None,
-        )
+    work = user.units
+    if method.time_filter:
+        work = _apply_time_filter(user, cfg.alpha, cfg.beta, cfg.filter_mode)
+    if method.atomic:
+        work = _atomic_tasks(work)
+    if method.reduce:
+        work, _ = dedup(work)
+        work, _ = merge_shared_source(work)
+    solution = optimize_user(work, user.channel, scenario.mec, scenario.caps, tune=method.tune)
     return MethodResult(
         user=user_index,
-        energy=solution.energy,
-        failed_tasks=0,
+        energy=solution.energy if solution else 0.0,
+        failed_tasks=0 if solution else total_tasks,
         total_tasks=total_tasks,
-        ts=solution.schedule.ts,
+        ts=solution.schedule.ts if solution else 0.0,
         solution=solution,
     )

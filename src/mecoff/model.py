@@ -98,12 +98,13 @@ def snr(p: float, ch: ChannelState) -> float:
 def uplink_rate(ch: ChannelState, snr_value: float) -> float:
     """Shannon uplink rate bw*log2(1+snr) in bits/s.
 
-    Returns 0 for snr 0; a zero rate must be rejected before any division
-    (see tx_latency).
+    Computed through log1p, which keeps full precision at small snr where
+    1 + snr would round away most of its digits. Returns 0 for snr 0; a zero
+    rate must be rejected before any division (see tx_latency).
     """
     if snr_value < 0:
         raise InvalidParameterError(f"snr must be >= 0, got {snr_value}")
-    return ch.bw * math.log2(1.0 + snr_value)
+    return ch.bw * math.log1p(snr_value) / math.log(2.0)
 
 
 def local_latency(w: float, f: float) -> float:

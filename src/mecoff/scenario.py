@@ -15,6 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .allocate import MAX_TREE_DEPTH
 from .correlation import Frame
 from .errors import ConfigError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit
@@ -72,6 +73,17 @@ class ScenarioConfig:
         pair("units_per_task")
         pair("task_size")
         pair("cycle_density")
+        n_tasks, n_units = self.tasks_per_user[1], self.units_per_task[1]
+        if n_tasks * n_units > MAX_TREE_DEPTH:
+            raise ConfigError(
+                f"tasks_per_user x units_per_task: {n_tasks} x {n_units} units "
+                f"exceed the tree depth limit {MAX_TREE_DEPTH}"
+            )
+        if int(self.task_size[0]) < n_units:
+            raise ConfigError(
+                f"task_size: a task of {int(self.task_size[0])} bits cannot be split "
+                f"into {n_units} units"
+            )
         if self.cycle_model not in _CYCLE_MODELS:
             raise ConfigError(f"cycle_model: expected one of {_CYCLE_MODELS}")
         for name in ("bw", "f_max", "f_mec", "kappa", "user_deadline", "p_max"):

@@ -102,10 +102,10 @@ def mec_pipeline(units_a: Sequence[Unit], r: float, mec: MecCaps) -> MecPipeline
     prev_done = 0.0
     for u in units_a:
         finish_tx += tx_latency(u.d, r)
-        wait = max(finish_tx, prev_done) - finish_tx
-        done = finish_tx + wait + mec_latency(u.w, mec)
+        start = max(finish_tx, prev_done)
+        done = start + mec_latency(u.w, mec)
         wt3.append(finish_tx)
-        wt4.append(wait)
+        wt4.append(start - finish_tx)
         lt.append(done)
         prev_done = done
     return MecPipelineTimes(tuple(wt3), tuple(wt4), tuple(lt))

@@ -2,7 +2,9 @@
 
 These deliberately avoid the recurrence/search code paths they validate:
 the pipeline oracle is an event-driven simulation, the allocator oracle is
-plain exhaustive filtering, and the tuner oracle is a dense grid search.
+plain exhaustive filtering, the tuner oracle is a dense grid search, and
+the clock/power minimizers are bisections on the evaluate/check_constraints
+verdict instead of closed forms.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from collections import deque
 import numpy as np
 
 from mecoff.allocate import order_units
+from mecoff.model import snr, uplink_rate
 from mecoff.schedule import assignment_from_bits, check_constraints, evaluate
+from mecoff.tune import F_MIN_FLOOR
+
+# Bisections run to 1e-8 relative width. The absolute floors stop the loop
+# when the feasible region extends all the way to zero.
+_REL_TOL = 1e-8
+_ABS_F = 1e-3
+_ABS_P = 1e-15
 
 
 def des_pipeline(tx_times, comp_times):
@@ -122,3 +132,48 @@ def grid_search_best(units, ch, mec, caps, n_f=200, n_p=200):
             if best is None or candidate < best:
                 best = candidate
     return best
+
+
+def _accepted(assignment, units, f, p, ch, mec, caps):
+    """Whether the placement passes every deadline check at (f, p)."""
+    if assignment.mec_ids() and uplink_rate(ch, snr(p, ch)) <= 0:
+        return False
+    return check_constraints(evaluate(assignment, units, f, p, ch, mec, caps), units, caps).ok
+
+
+def _bisect(feasible, hi, abs_tol):
+    """Smallest feasible point of (0, hi] to bisection width, None if hi fails.
+
+    Feasibility must be monotone: once feasible, feasible for every larger x.
+    """
+    if not feasible(hi):
+        return None
+    lo = 0.0
+    while hi - lo > _REL_TOL * hi + abs_tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def bisect_min_frequency(assignment, units, ch, mec, caps, p):
+    """Bisection counterpart of mecoff.tune.min_feasible_frequency."""
+    units = tuple(units)
+    if not assignment.local_ids():
+        feasible = _accepted(assignment, units, caps.f_max, p, ch, mec, caps)
+        return F_MIN_FLOOR if feasible else None
+    return _bisect(
+        lambda f: _accepted(assignment, units, f, p, ch, mec, caps), caps.f_max, _ABS_F
+    )
+
+
+def bisect_min_power(assignment, units, ch, mec, caps, f):
+    """Bisection counterpart of mecoff.tune.min_feasible_power."""
+    units = tuple(units)
+    if not assignment.mec_ids():
+        return 0.0
+    return _bisect(
+        lambda p: _accepted(assignment, units, f, p, ch, mec, caps), caps.p_max, _ABS_P
+    )

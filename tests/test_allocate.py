@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecoff.allocate import (
     MAX_TREE_DEPTH,
@@ -155,3 +159,21 @@ class TestAllocateWithCorrelation:
         assert not out.shared and not out.merged
         assert out.feasible.order == plain.order
         assert out.feasible.bits == plain.bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_brute_force_equality_with_deadlines_on_completion_times(k, data):
+    # Every unit of one placement finishes exactly on its deadline, so the
+    # tree's incremental recurrence and evaluate/check_constraints must agree
+    # to the last bit on which placements meet their deadlines.
+    us = [unit(i, d=data.draw(st.floats(1e4, 3e6)), w=data.draw(st.floats(1e6, 2e9)),
+               deadline=1e300) for i in range(k)]
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    asg = assignment_from_bits(range(k), bits)
+    res = evaluate(asg, us, 2e9, 1.0, CH, MEC, caps(user_deadline=1e300))
+    done = {**res.lt_local, **res.lt_mec}
+    ordered = order_units([replace(u, deadline=done[u.id]) for u in us])
+    c = caps(user_deadline=res.ts)
+    fs = enumerate_feasible(ordered, 2e9, 1.0, CH, MEC, c)
+    assert set(fs.bits) == brute_force_feasible(ordered, 2e9, 1.0, CH, MEC, c)

@@ -1,4 +1,8 @@
+import pytest
+
+import mecoff.cli
 from mecoff.cli import main
+from mecoff.errors import InvalidParameterError
 from mecoff.harness import load_rows
 from mecoff.scenario import demo_config, save_config
 
@@ -35,6 +39,17 @@ class TestSweepCommand:
         assert (out / "plot_energy_M3.dat").exists()
         assert (out / "plot_failure_M3.dat").exists()
 
+    def test_library_error_is_reported_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def fail(spec, workers=1):
+            raise InvalidParameterError("refusing to enumerate 25 units")
+
+        monkeypatch.setattr(mecoff.cli, "run_sweep", fail)
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: refusing to enumerate")
+        assert "Traceback" not in err
+
     def test_bad_config_is_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense = 1\n")
@@ -66,3 +81,13 @@ class TestValidateConfigCommand:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate-config", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "tasks_per_user = 5,5\nunits_per_task = 5,5\n",
+        "task_size = 2,3\nunits_per_task = 5,5\n",
+    ])
+    def test_configs_that_would_crash_a_sweep(self, tmp_path, capsys, text):
+        path = tmp_path / "crash.cfg"
+        path.write_text(text)
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

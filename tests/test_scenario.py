@@ -151,6 +151,25 @@ class TestGenerate:
                 assert 1500.0 <= total_w <= 4500.0 + 1e-6
 
 
+class TestValidateRejectsUnrunnableConfigs:
+    def test_tree_deeper_than_the_search_allows(self):
+        with pytest.raises(ConfigError, match="tasks_per_user x units_per_task"):
+            small_config(tasks_per_user=(5, 5), units_per_task=(5, 5)).validate()
+
+    def test_tree_depth_at_the_limit_is_accepted(self):
+        small_config(tasks_per_user=(4, 4), units_per_task=(6, 6)).validate()
+
+    def test_task_too_small_to_split(self):
+        with pytest.raises(ConfigError, match="task_size"):
+            small_config(task_size=(2.0, 3.0), units_per_task=(5, 5)).validate()
+
+    def test_smallest_splittable_task_runs(self):
+        cfg = small_config(task_size=(5.0, 6.0), units_per_task=(5, 5), seed=3)
+        for seed in range(5):
+            sc = generate(cfg, seed=seed)
+            assert all(u.d >= 1 for user in sc.users for u in user.units)
+
+
 class TestConfigIo:
     def test_round_trip(self, tmp_path):
         cfg = demo_config(seed=99)

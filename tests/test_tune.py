@@ -1,9 +1,16 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mecoff.allocate import order_units
+from mecoff.allocate import enumerate_feasible, order_units
 from mecoff.errors import InvalidParameterError
+from mecoff.harness import cell_seed
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
+from mecoff.scenario import ScenarioConfig, demo_config, generate
 from mecoff.schedule import assignment_from_bits, check_constraints, evaluate
 from mecoff.tune import (
     F_MIN_FLOOR,
@@ -13,7 +20,7 @@ from mecoff.tune import (
     optimize_user,
     tx_energy_total,
 )
-from oracles import grid_search_best
+from oracles import bisect_min_frequency, bisect_min_power, grid_search_best
 
 MEC = MecCaps(f_mec=20e9)
 
@@ -221,3 +228,149 @@ class TestOptimizeUser:
             gaps.append((sol.energy - best) / best)
         # the tuner may beat the discrete grid but must never trail it
         assert max(gaps) <= 5e-3
+
+
+def accepted(asg, us, f, p, ch, c):
+    return check_constraints(evaluate(asg, us, f, p, ch, MEC, c), us, c).ok
+
+
+def rel_gap(a, b):
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+@st.composite
+def tuning_cases(draw):
+    """A placement of 1..5 units with its channel and caps.
+
+    The gain (snr per watt) is zero, vanishing (rates near 1e-290 bit/s),
+    small (1 + snr keeps few of snr's digits) or typical.
+    Deadlines are either drawn, or set exactly at the completion times the
+    placement reaches at a drawn (f0, p0) point, with the user deadline
+    drawn or exactly at the makespan.
+    """
+    k = draw(st.integers(1, 5))
+    gain = draw(st.one_of(
+        st.just(0.0),
+        *(st.floats(lo, hi).map(lambda e: 10.0**e) for lo, hi in ((-300, -17), (-17, -9), (-2, 5)))
+    ))
+    ch = ChannelState(h=math.sqrt(gain), bw=20e6, n0=1.0 / 20e6)
+    bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    us = [
+        unit(i, d=draw(st.floats(1e5, 3e6)), w=draw(st.floats(1e6, 1e9)),
+             deadline=draw(st.floats(0.005, 2.0)))
+        for i in range(k)
+    ]
+    asg = assignment_from_bits(range(k), bits)
+    t_user = draw(st.floats(0.005, 2.0))
+    if draw(st.booleans()):
+        f0 = 2e9 * draw(st.floats(0.01, 1.0))
+        p0 = draw(st.floats(0.01, 1.0))
+        if not any(bits) or uplink_rate(ch, snr(p0, ch)) > 0:
+            loose = [replace(u, deadline=1e300) for u in us]
+            res = evaluate(asg, loose, f0, p0, ch, MEC, caps(user_deadline=1e300))
+            done = {**res.lt_local, **res.lt_mec}
+            us = [replace(u, deadline=done[u.id]) for u in us]
+            if draw(st.booleans()):
+                t_user = res.ts
+    return asg, us, ch, caps(user_deadline=t_user)
+
+
+class TestClosedFormsAgainstBisection:
+    @settings(max_examples=300, deadline=None)
+    @given(tuning_cases())
+    def test_agree_with_oracle_and_revalidate(self, case):
+        asg, us, ch, c = case
+        f = min_feasible_frequency(asg, us, ch, MEC, c, p=c.p_max)
+        f_ref = bisect_min_frequency(asg, us, ch, MEC, c, p=c.p_max)
+        assert (f is None) == (f_ref is None)
+        if f is None:
+            return
+        assert rel_gap(f, f_ref) <= 1e-7
+        assert accepted(asg, us, f, c.p_max, ch, c)
+
+        p = min_feasible_power(asg, us, ch, MEC, c, f=f)
+        p_ref = bisect_min_power(asg, us, ch, MEC, c, f=f)
+        assert (p is None) == (p_ref is None)
+        if p is None:
+            return
+        assert rel_gap(p, p_ref) <= 1e-7
+        assert accepted(asg, us, f, p, ch, c)
+
+    @pytest.mark.parametrize("h", [0.0, 1e-160])
+    def test_zero_or_vanishing_gain_cannot_offload(self, h):
+        ch = ChannelState(h=h, bw=20e6, n0=1.0 / 20e6)
+        us = [unit(0), unit(1)]
+        asg = assignment_from_bits([0, 1], [0, 1])
+        assert min_feasible_power(asg, us, ch, MEC, caps(), f=2e9) is None
+        assert min_feasible_frequency(asg, us, ch, MEC, caps(), p=1.0) is None
+
+    def test_point_on_every_deadline_is_returned_exactly(self):
+        # deadlines set at the completion times reached at (f0, p0): the
+        # closed forms land on that point, and it must pass revalidation
+        ch = channel()
+        us = [unit(0, w=3e8), unit(1, d=2e6), unit(2, w=1e8), unit(3, d=5e5)]
+        asg = assignment_from_bits([0, 1, 2, 3], [0, 1, 0, 1])
+        res = evaluate(asg, us, 7e8, 0.3, ch, MEC, caps(user_deadline=10.0))
+        done = {**res.lt_local, **res.lt_mec}
+        tight = [replace(u, deadline=done[u.id]) for u in us]
+        c = caps(user_deadline=res.ts)
+        f = min_feasible_frequency(asg, tight, ch, MEC, c, p=1.0)
+        p = min_feasible_power(asg, tight, ch, MEC, c, f=f)
+        assert f == pytest.approx(7e8, rel=1e-12)
+        assert p == pytest.approx(0.3, rel=1e-9)
+        assert accepted(asg, tight, f, p, ch, c)
+
+
+def tuned_point(asg, us, ch, mec, c):
+    f = min_feasible_frequency(asg, us, ch, mec, c, p=c.p_max)
+    p = None if f is None else min_feasible_power(asg, us, ch, mec, c, f=f)
+    return None if p is None else (f, p)
+
+
+def _feasible_members(units, ch, c, mec=MEC):
+    fs = enumerate_feasible(order_units(units), c.f_max, c.p_max, ch, mec, c)
+    return [assignment_from_bits(fs.order, bits) for bits in fs.bits]
+
+
+class TestEveryFeasibleLeafIsTuned:
+    """Every placement feasible at (f_max, p_max) has a tuned point."""
+
+    def test_generated_scenarios(self):
+        big_tree = ScenarioConfig(
+            n_users=2, tasks_per_user=(4, 4), units_per_task=(3, 3),
+            cycle_density=(40.0, 160.0), kappa=1e-26, deadlines=(2.0,), user_deadline=2.0,
+            dup_unit_fraction=0.0, shared_source_fraction=0.0,
+        )
+        draws = [(big_tree, 30.0, cell_seed(42, 0, 0))] + [
+            (demo_config(), snr_db, cell_seed(7, i, r))
+            for i, snr_db in enumerate((10.0, 20.0, 30.0, 40.0, 50.0)) for r in range(4)
+        ]
+        leaves = 0
+        for cfg, snr_db, seed in draws:
+            scenario = generate(cfg, snr_db=snr_db, seed=seed)
+            for user in scenario.users:
+                ch, mec, c = user.channel, scenario.mec, scenario.caps
+                for asg in _feasible_members(user.units, ch, c, mec):
+                    leaves += 1
+                    point = tuned_point(asg, user.units, ch, mec, c)
+                    assert point is not None, asg.bits()
+        assert leaves > 4096
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.floats(-2.0, 5.0), st.data())
+    def test_deadlines_exactly_at_the_caps(self, k, log_gain, data):
+        # a random placement whose units finish exactly on their deadlines
+        # at (f_max, p_max) is feasible there and must keep a tuned point
+        ch = ChannelState(h=math.sqrt(10.0**log_gain), bw=20e6, n0=1.0 / 20e6)
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        us = [unit(i, d=data.draw(st.floats(1e5, 3e6)), w=data.draw(st.floats(1e6, 1e9)),
+                   deadline=1e300) for i in range(k)]
+        asg = assignment_from_bits(range(k), bits)
+        res = evaluate(asg, us, 2e9, 1.0, ch, MEC, caps(user_deadline=1e300))
+        done = {**res.lt_local, **res.lt_mec}
+        us = [replace(u, deadline=done[u.id]) for u in us]
+        c = caps(user_deadline=res.ts)
+        members = _feasible_members(us, ch, c)
+        assert members
+        for member in members:
+            assert tuned_point(member, us, ch, MEC, c) is not None
