@@ -2,9 +2,7 @@
 and a benchmark harness."""
 
 from .allocate import (
-    CorrelatedAllocation,
     FeasibleSet,
-    allocate_with_correlation,
     enumerate_feasible,
     order_units,
 )
@@ -12,13 +10,11 @@ from .correlation import (
     FilterAction,
     FilterDecision,
     Frame,
-    UnitCorrelation,
     dedup,
     filter_multi,
     filter_single,
     merge_shared_source,
     pearson,
-    unit_correlation,
 )
 from .errors import (
     ConfigError,
@@ -46,7 +42,6 @@ from .scenario import (
     ScenarioConfig,
     UserScenario,
     demo_config,
-    dump_scenario,
     generate,
     load_config,
     sample_channel,

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .correlation import dedup, merge_shared_source
 from .errors import ConstraintViolationError, InvalidParameterError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
-from .schedule import Assignment, assignment_from_bits
 
 MAX_TREE_DEPTH = 24  # 2^24 leaves; hard stop against accidental blow-ups
 
@@ -38,10 +35,6 @@ class FeasibleSet:
 
     order: tuple[int, ...]
     bits: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def assignments(self) -> tuple[Assignment, ...]:
-        return tuple(assignment_from_bits(self.order, b) for b in self.bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -104,35 +97,3 @@ def enumerate_feasible(
             stack.append((depth + 1, bits + (1,), new_tx, new_m, lt_l))
     return FeasibleSet(order=order, bits=tuple(survivors))
 
-
-@dataclass(frozen=True)
-class CorrelatedAllocation:
-    """Result of the correlation-aware search: the reduced unit set actually
-    placed, the dedup share map, the merge membership map, and the feasible
-    placements of the reduced set."""
-
-    units: tuple[Unit, ...]
-    shared: dict[int, int]
-    merged: dict[int, tuple[int, ...]]
-    feasible: FeasibleSet
-
-
-def allocate_with_correlation(
-    units: Iterable[Unit],
-    f: float,
-    p: float,
-    ch: ChannelState,
-    mec: MecCaps,
-    caps: DeviceCaps,
-) -> CorrelatedAllocation:
-    """Drop duplicate units, merge shared-source units, then enumerate.
-
-    Super-units occupy a single tree level, so placing one places all of its
-    members together.
-    """
-    deduped, share = dedup(units)
-    reduced, merged = merge_shared_source(deduped)
-    feasible = enumerate_feasible(order_units(reduced), f, p, ch, mec, caps)
-    return CorrelatedAllocation(
-        units=reduced, shared=share, merged=merged, feasible=feasible
-    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import MecoffError
+from .errors import ConfigError, MecoffError
 from .harness import SweepSpec, emit, run_sweep
 from .methods import METHOD_IDS
 from .scenario import demo_config, load_config
@@ -16,7 +16,10 @@ def _parse_methods(value: str) -> tuple[str, ...]:
 
 
 def _parse_snrs(value: str) -> tuple[float, ...]:
-    return tuple(float(s) for s in value.split(","))
+    try:
+        return tuple(float(s) for s in value.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--snr: expected a comma list of numbers, got {value!r}") from exc
 
 
 def _print_rows(rows) -> None:
@@ -37,7 +40,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         replications=args.reps,
         seed=args.seed,
     )
-    rows = run_sweep(spec, workers=args.workers)
+    rows = run_sweep(spec)
     written = emit(rows, args.format, args.out)
     _print_rows(rows)
     for path in written:
@@ -85,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=42)
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.add_argument("--format", choices=("csv", "json", "plotdata"), default="csv")
-    sweep.add_argument("--workers", type=int, default=1)
+    # Accepted and ignored: sweeps run serially, and bench/run.py passes --workers 1.
+    sweep.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     sweep.set_defaults(func=_cmd_sweep)
 
     demo = sub.add_parser("demo", help="run a small bundled scenario")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,6 +93,30 @@ def _check_frames(frames: Sequence[Frame]) -> None:
         raise InvalidParameterError("frames must be ordered by strictly increasing epoch")
 
 
+def _filter(frames: Sequence[Frame], alpha: float, beta: float) -> list[FilterDecision]:
+    """The decision loop of both policies, as described in `filter_multi`."""
+    _check_frames(frames)
+    out: list[FilterDecision] = []
+    ref: Frame | None = None
+    for fr in frames:
+        r = -np.inf  # the first frame and degenerate frames are processed fully
+        if ref is not None:
+            try:
+                r = pearson(ref.data, fr.data)
+            except DegenerateSignalError:
+                pass
+        ref_epoch = fr.epoch if ref is None else ref.epoch
+        if r > alpha:
+            out.append(FilterDecision(fr.epoch, FilterAction.SKIP, 0.0, ref_epoch))
+            continue
+        if r > beta:
+            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
+        else:
+            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
+        ref = fr
+    return out
+
+
 def filter_single(frames: Sequence[Frame], alpha: float) -> list[FilterDecision]:
     """Single-threshold policy: skip a frame when its correlation with the
     running reference strictly exceeds alpha, otherwise process it fully and
@@ -102,24 +125,7 @@ def filter_single(frames: Sequence[Frame], alpha: float) -> list[FilterDecision]
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_frames(frames)
-    out: list[FilterDecision] = []
-    ref: Frame | None = None
-    for fr in frames:
-        if ref is None:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, fr.epoch))
-            ref = fr
-            continue
-        try:
-            r = pearson(ref.data, fr.data)
-        except DegenerateSignalError:
-            r = None
-        if r is not None and r > alpha:
-            out.append(FilterDecision(fr.epoch, FilterAction.SKIP, 0.0, ref.epoch))
-        else:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref.epoch))
-            ref = fr
-    return out
+    return _filter(frames, alpha, alpha)  # beta = alpha: the diff band is empty
 
 
 def filter_multi(frames: Sequence[Frame], alpha: float, beta: float) -> list[FilterDecision]:
@@ -135,53 +141,7 @@ def filter_multi(frames: Sequence[Frame], alpha: float, beta: float) -> list[Fil
         raise InvalidParameterError(
             f"thresholds must satisfy 0 < beta < alpha < 1 (alpha={alpha}, beta={beta})"
         )
-    _check_frames(frames)
-    out: list[FilterDecision] = []
-    ref: Frame | None = None
-    for fr in frames:
-        if ref is None:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, fr.epoch))
-            ref = fr
-            continue
-        try:
-            r = pearson(ref.data, fr.data)
-        except DegenerateSignalError:
-            r = None
-        if r is not None and r > alpha:
-            out.append(FilterDecision(fr.epoch, FilterAction.SKIP, 0.0, ref.epoch))
-        elif r is not None and r > beta:
-            out.append(
-                FilterDecision(fr.epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref.epoch)
-            )
-            ref = fr
-        else:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref.epoch))
-            ref = fr
-    return out
-
-
-@dataclass(frozen=True)
-class UnitCorrelation:
-    """Pairwise relation between units: 1 identical, 0.5 shared source, 0 unrelated."""
-
-    pair: tuple[int, int]
-    c: float
-
-    def __post_init__(self):
-        if self.c not in (0.0, 0.5, 1.0):
-            raise InvalidParameterError(f"correlation degree must be 0, 0.5 or 1, got {self.c}")
-
-
-def unit_correlation(o: Unit, p: Unit) -> UnitCorrelation:
-    if o.id == p.id and o.user == p.user:
-        raise InvalidParameterError("unit correlation is defined for distinct units")
-    if o.user != p.user:
-        c = 0.0
-    elif o.source_id == p.source_id:
-        c = 1.0 if o.type_id == p.type_id else 0.5
-    else:
-        c = 0.0
-    return UnitCorrelation(pair=(o.id, p.id), c=c)
+    return _filter(frames, alpha, beta)
 
 
 def dedup(units: Iterable[Unit]) -> tuple[tuple[Unit, ...], dict[int, int]]:
@@ -246,37 +206,3 @@ def merge_shared_source(
     out.sort(key=lambda u: (u.user, u.id))
     return tuple(out), merged
 
-
-def load_frames(path: str | Path) -> list[Frame]:
-    """Read frames from a plain columnar text file.
-
-    One frame per row: task_label, epoch, then the samples, whitespace
-    separated. Blank lines and lines starting with '#' are ignored.
-    """
-    frames: list[Frame] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 4:
-            raise InvalidParameterError(
-                f"frame rows need task_label, epoch and >= 2 samples: {line!r}"
-            )
-        frames.append(
-            Frame(
-                task_label=int(parts[0]),
-                epoch=int(parts[1]),
-                data=np.array([float(v) for v in parts[2:]]),
-            )
-        )
-    return frames
-
-
-def write_frames(frames: Iterable[Frame], path: str | Path) -> None:
-    """Inverse of load_frames."""
-    lines = ["# task_label epoch samples..."]
-    for fr in frames:
-        samples = " ".join(repr(float(v)) for v in fr.data)
-        lines.append(f"{fr.task_label} {fr.epoch} {samples}")
-    Path(path).write_text("\n".join(lines) + "\n")

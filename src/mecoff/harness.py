@@ -4,13 +4,13 @@ Every (snr index, replication) cell draws a fresh scenario from a sub-seed
 split off the sweep seed with numpy's SeedSequence spawn keys, so appending
 SNR points or replications never perturbs existing cells, and all methods
 inside a cell score the same draw. Aggregation is an ordered reduction,
-which keeps parallel and serial execution byte-identical.
+which keeps reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +41,10 @@ class SweepSpec:
             raise ConfigError(f"methods: unknown {unknown}, expected subset of {METHOD_IDS}")
         if self.replications < 1:
             raise ConfigError(f"replications: must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if not all(math.isfinite(s) for s in self.snr_points_db or ()):
+            raise ConfigError(f"snr_points_db: setpoints must be finite, got {self.snr_points_db}")
 
     @property
     def snr_points(self) -> tuple[float, ...]:
@@ -82,18 +86,15 @@ def _run_cell(spec: SweepSpec, snr_index: int, replication: int) -> dict[str, li
     }
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
-    """Run the full matrix; deterministic for a fixed spec regardless of
-    `workers` (cells are independent and reduced in index order)."""
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Run the full matrix; deterministic for a fixed spec (cells are
+    independent and reduced in index order)."""
     snrs = spec.snr_points
-    cells = [(si, ri) for si in range(len(snrs)) for ri in range(spec.replications)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: _run_cell(spec, *c), cells))
-    else:
-        outcomes = [_run_cell(spec, si, ri) for si, ri in cells]
-
-    by_cell = dict(zip(cells, outcomes))
+    by_cell = {
+        (si, ri): _run_cell(spec, si, ri)
+        for si in range(len(snrs))
+        for ri in range(spec.replications)
+    }
     rows: list[SweepRow] = []
     for si, snr_db in enumerate(snrs):
         for m in spec.methods:

@@ -9,6 +9,7 @@ bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -93,10 +94,18 @@ class ScenarioConfig:
             raise ConfigError(f"deadlines: need positive values, got {self.deadlines}")
         if not self.target_snr_db:
             raise ConfigError("target_snr_db: need at least one setpoint")
+        if not all(math.isfinite(s) for s in self.target_snr_db):
+            raise ConfigError(f"target_snr_db: setpoints must be finite, got {self.target_snr_db}")
         if self.frames_per_task < 1:
             raise ConfigError(f"frames_per_task: must be >= 1, got {self.frames_per_task}")
         if self.frame_len < 2:
             raise ConfigError(f"frame_len: must be >= 2, got {self.frame_len}")
+        if self.frames_per_task >= 2 and self.frame_len < 3:
+            # a centred 2-sample frame leaves no direction orthogonal to its
+            # reference, so no correlated successor can be drawn
+            raise ConfigError(
+                f"frame_len: must be >= 3 when frames_per_task >= 2, got {self.frame_len}"
+            )
         if not -1.0 <= self.frame_rho[0] <= self.frame_rho[1] <= 1.0:
             raise ConfigError(f"frame_rho: need -1 <= lo <= hi <= 1, got {self.frame_rho}")
         for name in ("dup_unit_fraction", "shared_source_fraction"):
@@ -112,6 +121,8 @@ class ScenarioConfig:
             )
         if self.filter_mode not in _FILTER_MODES:
             raise ConfigError(f"filter_mode: expected one of {_FILTER_MODES}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -326,18 +337,6 @@ def demo_config(seed: int = 42) -> ScenarioConfig:
 
 # --- flat key = value config files -------------------------------------------
 
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_str(v: str) -> str:
-    return v
-
-
 def _parse_int_pair(v: str) -> tuple[int, int]:
     parts = [int(float(x)) for x in v.split(",")]
     if len(parts) != 2:
@@ -357,29 +356,29 @@ def _parse_float_tuple(v: str) -> tuple[float, ...]:
 
 
 _FIELD_PARSERS = {
-    "n_users": _parse_int,
+    "n_users": int,
     "tasks_per_user": _parse_int_pair,
     "units_per_task": _parse_int_pair,
     "task_size": _parse_float_pair,
     "cycle_density": _parse_float_pair,
-    "cycle_model": _parse_str,
-    "bw": _parse_float,
-    "f_max": _parse_float,
-    "f_mec": _parse_float,
-    "kappa": _parse_float,
+    "cycle_model": str,
+    "bw": float,
+    "f_max": float,
+    "f_mec": float,
+    "kappa": float,
     "deadlines": _parse_float_tuple,
-    "user_deadline": _parse_float,
+    "user_deadline": float,
     "target_snr_db": _parse_float_tuple,
-    "p_max": _parse_float,
-    "frames_per_task": _parse_int,
-    "frame_len": _parse_int,
+    "p_max": float,
+    "frames_per_task": int,
+    "frame_len": int,
     "frame_rho": _parse_float_pair,
-    "dup_unit_fraction": _parse_float,
-    "shared_source_fraction": _parse_float,
-    "alpha": _parse_float,
-    "beta": _parse_float,
-    "filter_mode": _parse_str,
-    "seed": _parse_int,
+    "dup_unit_fraction": float,
+    "shared_source_fraction": float,
+    "alpha": float,
+    "beta": float,
+    "filter_mode": str,
+    "seed": int,
 }
 
 
@@ -418,20 +417,3 @@ def save_config(config: ScenarioConfig, path: str | Path) -> None:
         lines.append(f"{key} = {rendered}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def dump_scenario(scenario: Scenario, path: str | Path) -> None:
-    """Write the drawn units as a columnar text table for inspection.
-
-    Columns: user task unit type source d_bits w_cycles deadline_s.
-    """
-    lines = [
-        f"# snr_db={scenario.snr_db!r} n_users={len(scenario.users)}",
-        "# user task unit type source d_bits w_cycles deadline_s",
-    ]
-    for u, user in enumerate(scenario.users):
-        for unit in user.units:
-            lines.append(
-                f"{u} {unit.task_id} {unit.id} {unit.type_id} {unit.source_id} "
-                f"{unit.d!r} {unit.w!r} {unit.deadline!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .allocate import enumerate_feasible, order_units
-from .errors import InvalidParameterError
+from .errors import ConstraintViolationError, InvalidParameterError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
 from .schedule import (
     Assignment,
@@ -207,7 +207,10 @@ def optimize_user(
         result = evaluate(asg, units, f, p, ch, mec, caps)
         report = check_constraints(result, units, caps)
         if not report.ok:
-            raise RuntimeError(f"point (f={f}, p={p}) failed revalidation: {report.violations}")
+            raise ConstraintViolationError(
+                sorted({v.constraint for v in report.violations}),
+                f"point (f={f}, p={p}) failed revalidation: {report.violations}",
+            )
         key = (result.e_total, sum(bits), bits)
         if best_key is None or key < best_key:
             best_key = key

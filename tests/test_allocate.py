@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mecoff.allocate import (
     MAX_TREE_DEPTH,
-    allocate_with_correlation,
     enumerate_feasible,
     order_units,
 )
@@ -90,7 +89,8 @@ class TestEnumerateFeasible:
         rng = np.random.default_rng(3)
         us = random_units(rng, 6)
         fs = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
-        for asg in fs.assignments:
+        for bits in fs.bits:
+            asg = assignment_from_bits(fs.order, bits)
             res = evaluate(asg, us, 2e9, 1.0, CH, MEC, caps())
             assert check_constraints(res, us, caps()).ok
 
@@ -129,36 +129,6 @@ class TestEnumerateFeasible:
         us = [unit(0, d=1e5, w=1e7, deadline=0.2)]
         fs = enumerate_feasible(order_units(us), 2e9, 0.0, CH, MEC, caps())
         assert set(fs.bits) == {(0,)}
-
-
-class TestAllocateWithCorrelation:
-    def test_duplicates_shrink_tree(self):
-        us = [unit(0, type_id=1, source_id=1), unit(1, type_id=1, source_id=1), unit(2)]
-        out = allocate_with_correlation(us, 2e9, 1.0, CH, MEC, caps())
-        assert len(out.units) == 2
-        assert out.shared == {1: 0}
-        assert all(len(bits) == 2 for bits in out.feasible.bits)
-
-    def test_shared_source_becomes_one_level(self):
-        us = [
-            unit(0, type_id=1, source_id=7, d=1e6, w=2e8),
-            unit(1, type_id=2, source_id=7, d=1e6, w=3e8),
-        ]
-        out = allocate_with_correlation(us, 2e9, 1.0, CH, MEC, caps())
-        assert len(out.units) == 1
-        assert out.merged == {0: (0, 1)}
-        su = out.units[0]
-        assert su.d == 1e6 and su.w == 5e8
-
-    def test_no_correlation_matches_plain_enumeration(self):
-        rng = np.random.default_rng(1)
-        us = random_units(rng, 5)
-        out = allocate_with_correlation(us, 2e9, 1.0, CH, MEC, caps())
-        plain = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
-        assert set(out.units) == set(us)
-        assert not out.shared and not out.merged
-        assert out.feasible.order == plain.order
-        assert out.feasible.bits == plain.bits
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,12 @@
 import pytest
 
 import mecoff.cli
+import mecoff.tune
 from mecoff.cli import main
 from mecoff.errors import InvalidParameterError
 from mecoff.harness import load_rows
 from mecoff.scenario import demo_config, save_config
+from mecoff.schedule import ConstraintReport, Violation
 
 
 def write_cfg(tmp_path, cfg=None):
@@ -40,7 +42,7 @@ class TestSweepCommand:
         assert (out / "plot_failure_M3.dat").exists()
 
     def test_library_error_is_reported_without_traceback(self, tmp_path, capsys, monkeypatch):
-        def fail(spec, workers=1):
+        def fail(spec):
             raise InvalidParameterError("refusing to enumerate 25 units")
 
         monkeypatch.setattr(mecoff.cli, "run_sweep", fail)
@@ -49,6 +51,48 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: refusing to enumerate")
         assert "Traceback" not in err
+
+    def test_revalidation_failure_is_reported_without_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            mecoff.tune, "check_constraints",
+            lambda result, units, caps: ConstraintReport((Violation("C3", None),)),
+        )
+        code = main([
+            "sweep", "--config", str(write_cfg(tmp_path)), "--methods", "M3", "--snr", "30",
+            "--reps", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point")
+        assert "Traceback" not in err
+
+    def test_benchmark_argv_is_accepted(self, tmp_path):
+        # the argv bench/run.py builds, --workers included
+        cfg = write_cfg(tmp_path)
+        argv = ["sweep", "--config", str(cfg), "--methods", "M1,M5", "--snr", "30",
+                "--reps", "1", "--seed", "42", "--format", "csv"]
+        assert main(argv + ["--out", str(tmp_path / "a"), "--workers", "1"]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "results.csv").read_bytes() == (
+            tmp_path / "b" / "results.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["--seed", "-1"],
+        ["--snr", "abc"],
+        ["--snr", "10,,20"],
+        ["--snr", "nan"],
+    ])
+    def test_bad_seed_or_snr_is_reported(self, tmp_path, capsys, args):
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--reps", "1",
+                     "--out", str(tmp_path / "o")] + args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -65,6 +109,12 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert "M1" in out and "M5" in out
         assert (tmp_path / "d" / "results.csv").exists()
+
+    def test_negative_seed_is_reported(self, capsys):
+        assert main(["demo", "--reps", "1", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed")
+        assert "Traceback" not in err
 
 
 class TestValidateConfigCommand:
@@ -85,6 +135,9 @@ class TestValidateConfigCommand:
     @pytest.mark.parametrize("text", [
         "tasks_per_user = 5,5\nunits_per_task = 5,5\n",
         "task_size = 2,3\nunits_per_task = 5,5\n",
+        "frame_len = 2\nframes_per_task = 3\n",
+        "seed = -1\n",
+        "target_snr_db = 10,nan\n",
     ])
     def test_configs_that_would_crash_a_sweep(self, tmp_path, capsys, text):
         path = tmp_path / "crash.cfg"

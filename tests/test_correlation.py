@@ -10,11 +10,8 @@ from mecoff.correlation import (
     dedup,
     filter_multi,
     filter_single,
-    load_frames,
     merge_shared_source,
     pearson,
-    unit_correlation,
-    write_frames,
 )
 from mecoff.errors import DegenerateSignalError, InvalidParameterError
 from mecoff.model import Unit
@@ -167,26 +164,6 @@ def make_unit(uid, type_id, source_id, d=1e6, w=2e8, deadline=0.1, user=0, task=
                 d=d, w=w, deadline=deadline)
 
 
-class TestUnitCorrelation:
-    def test_identical(self):
-        assert unit_correlation(make_unit(0, 3, 7), make_unit(1, 3, 7)).c == 1.0
-
-    def test_shared_source(self):
-        assert unit_correlation(make_unit(0, 3, 7), make_unit(1, 4, 7)).c == 0.5
-
-    def test_unrelated(self):
-        assert unit_correlation(make_unit(0, 3, 7), make_unit(1, 3, 8)).c == 0.0
-
-    def test_symmetric(self):
-        a, b = make_unit(0, 3, 7), make_unit(1, 4, 7)
-        assert unit_correlation(a, b).c == unit_correlation(b, a).c
-
-    def test_rejects_same_unit(self):
-        u = make_unit(0, 3, 7)
-        with pytest.raises(InvalidParameterError):
-            unit_correlation(u, u)
-
-
 class TestDedup:
     def test_min_deadline_representative(self):
         units = [make_unit(0, 1, 1, deadline=0.05), make_unit(1, 1, 1, deadline=0.1)]
@@ -260,21 +237,3 @@ class TestMergeSharedSource:
             assert sum(u.d for u in reduced) <= sum(u.d for u in units)
             assert sum(u.w for u in reduced) <= sum(u.w for u in units)
 
-
-class TestFrameIo:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        frames = [Frame(3, i, rng.standard_normal(8)) for i in range(4)]
-        path = tmp_path / "frames.txt"
-        write_frames(frames, path)
-        loaded = load_frames(path)
-        assert len(loaded) == 4
-        for a, b in zip(frames, loaded):
-            assert (a.task_label, a.epoch) == (b.task_label, b.epoch)
-            assert np.array_equal(a.data, b.data)
-
-    def test_rejects_short_rows(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 0 1.5\n")
-        with pytest.raises(InvalidParameterError):
-            load_frames(path)

@@ -8,7 +8,6 @@ from mecoff.scenario import (
     Scenario,
     ScenarioConfig,
     demo_config,
-    dump_scenario,
     generate,
     load_config,
     sample_channel,
@@ -169,6 +168,20 @@ class TestValidateRejectsUnrunnableConfigs:
             sc = generate(cfg, seed=seed)
             assert all(u.d >= 1 for user in sc.users for u in user.units)
 
+    def test_two_sample_frames_cannot_be_correlated(self):
+        with pytest.raises(ConfigError, match="frame_len"):
+            small_config(frame_len=2, frames_per_task=3).validate()
+
+    @pytest.mark.parametrize("frame_len, frames_per_task", [(2, 1), (3, 8)])
+    def test_shortest_runnable_frames(self, frame_len, frames_per_task):
+        cfg = small_config(frame_len=frame_len, frames_per_task=frames_per_task)
+        for seed in range(5):
+            sc = generate(cfg, seed=seed)
+            assert all(
+                len(f.data) == frame_len
+                for user in sc.users for frames in user.frames.values() for f in frames
+            )
+
 
 class TestConfigIo:
     def test_round_trip(self, tmp_path):
@@ -203,11 +216,3 @@ class TestConfigIo:
         with pytest.raises(ConfigError):
             load_config(path)
 
-
-class TestDump:
-    def test_dump_lists_every_unit(self, tmp_path):
-        sc = generate(small_config(seed=1))
-        path = tmp_path / "scenario.txt"
-        dump_scenario(sc, path)
-        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert len(rows) == sum(len(u.units) for u in sc.users)

@@ -7,11 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecoff.allocate import enumerate_feasible, order_units
-from mecoff.errors import InvalidParameterError
+import mecoff.tune
+from mecoff.errors import ConstraintViolationError, InvalidParameterError
 from mecoff.harness import cell_seed
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
 from mecoff.scenario import ScenarioConfig, demo_config, generate
-from mecoff.schedule import assignment_from_bits, check_constraints, evaluate
+from mecoff.schedule import (
+    ConstraintReport,
+    Violation,
+    assignment_from_bits,
+    check_constraints,
+    evaluate,
+)
 from mecoff.tune import (
     F_MIN_FLOOR,
     TunedSolution,
@@ -208,6 +215,14 @@ class TestOptimizeUser:
         assert report.ok
         assert sol.f <= c.f_max and sol.p <= c.p_max
         assert sol.energy == sol.schedule.e_total
+
+    def test_revalidation_failure_names_the_constraints(self, monkeypatch):
+        report = ConstraintReport((Violation("C2", 1), Violation("C1", 0), Violation("C2", 2)))
+        monkeypatch.setattr(mecoff.tune, "check_constraints", lambda *args: report)
+        with pytest.raises(ConstraintViolationError, match="failed revalidation") as info:
+            optimize_user([unit(i) for i in range(3)], channel(), MEC, caps())
+        assert info.value.constraints == ("C1", "C2")
+        assert isinstance(info.value, RuntimeError)
 
     def test_close_to_exhaustive_grid(self):
         rng = np.random.default_rng(23)
