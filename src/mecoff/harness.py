@@ -10,7 +10,6 @@ which keeps reruns byte-identical.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .methods import METHOD_IDS, MethodResult, run_method
-from .scenario import Scenario, ScenarioConfig, generate
+from .scenario import Scenario, ScenarioConfig, generate, noise_density
 
 CSV_HEADER = "snr_db,method,mean_energy_j,failure_probability,mean_ts_s,replications"
 
@@ -43,8 +42,8 @@ class SweepSpec:
             raise ConfigError(f"replications: must be >= 1, got {self.replications}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if not all(math.isfinite(s) for s in self.snr_points_db or ()):
-            raise ConfigError(f"snr_points_db: setpoints must be finite, got {self.snr_points_db}")
+        for snr_db in self.snr_points_db or ():
+            noise_density(snr_db, self.config.bw, self.config.p_max)
 
     @property
     def snr_points(self) -> tuple[float, ...]:

@@ -65,8 +65,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         def pair(name, lo_ok=0.0):
             v = getattr(self, name)
-            if len(v) != 2 or v[0] > v[1] or v[0] <= lo_ok:
-                raise ConfigError(f"{name}: need a positive (lo, hi) range, got {v}")
+            if len(v) != 2 or not lo_ok < v[0] <= v[1] < math.inf:
+                raise ConfigError(f"{name}: need a finite positive (lo, hi) range, got {v}")
 
         if self.n_users < 1:
             raise ConfigError(f"n_users: must be >= 1, got {self.n_users}")
@@ -88,14 +88,14 @@ class ScenarioConfig:
         if self.cycle_model not in _CYCLE_MODELS:
             raise ConfigError(f"cycle_model: expected one of {_CYCLE_MODELS}")
         for name in ("bw", "f_max", "f_mec", "kappa", "user_deadline", "p_max"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
-        if not self.deadlines or any(d <= 0 for d in self.deadlines):
-            raise ConfigError(f"deadlines: need positive values, got {self.deadlines}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}: must be finite and positive, got {getattr(self, name)}")
+        if not self.deadlines or not all(0 < d < math.inf for d in self.deadlines):
+            raise ConfigError(f"deadlines: need finite positive values, got {self.deadlines}")
         if not self.target_snr_db:
             raise ConfigError("target_snr_db: need at least one setpoint")
-        if not all(math.isfinite(s) for s in self.target_snr_db):
-            raise ConfigError(f"target_snr_db: setpoints must be finite, got {self.target_snr_db}")
+        for snr_db in self.target_snr_db:
+            noise_density(snr_db, self.bw, self.p_max)
         if self.frames_per_task < 1:
             raise ConfigError(f"frames_per_task: must be >= 1, got {self.frames_per_task}")
         if self.frame_len < 2:
@@ -142,17 +142,28 @@ class Scenario:
     mec: MecCaps
 
 
+def noise_density(snr_db: float, bw: float, p_max: float) -> float:
+    """n0 = p_max / (bw * 10^(snr_db/10)), the noise density that puts the mean
+    SNR at full power on the setpoint. ConfigError unless it is finite and
+    positive: the setpoint is not finite, or 10^(snr_db/10) over/underflows."""
+    try:
+        n0 = p_max / (bw * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
+    if not 0.0 < n0 < math.inf:
+        raise ConfigError(f"snr setpoint {snr_db!r} dB: noise density {n0!r} is not finite and > 0")
+    return n0
+
+
 def sample_channel(rng, target_snr_db: float, bw: float, p_max: float) -> ChannelState:
     """One Rayleigh channel draw at a mean-SNR setpoint.
 
     The amplitude h is Rayleigh with E[h^2] = 1; the noise density is scaled
-    so the mean SNR at full power equals the target:
-    n0 = p_max / (bw * 10^(snr_db/10)).
+    so the mean SNR at full power equals the target (`noise_density`).
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     h = float(rng.rayleigh(scale=np.sqrt(0.5)))
-    n0 = p_max / (bw * 10.0 ** (target_snr_db / 10.0))
-    return ChannelState(h=h, bw=bw, n0=n0)
+    return ChannelState(h=h, bw=bw, n0=noise_density(target_snr_db, bw, p_max))
 
 
 def _exact_corr_partner(rng: np.random.Generator, x: np.ndarray, rho: float) -> np.ndarray:
@@ -399,7 +410,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             overrides[key] = parser(value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     config = ScenarioConfig(**overrides)
     config.validate()

@@ -148,6 +148,18 @@ class ScheduleResult:
     e_total: float
 
 
+def placement_energy(
+    units_a: Sequence[Unit], units_b: Sequence[Unit],
+    f: float, p: float, ch: ChannelState, caps: DeviceCaps,
+) -> float:
+    """Device energy of a placement at clock f and power p: the offloaded
+    units' transmissions in order, then the local units' CPU energy in order.
+    This one sum is both `evaluate`'s e_total and the leaf scorer's key."""
+    rate = uplink_rate(ch, snr(p, ch)) if units_a else 0.0
+    e_tx = sum(tx_energy(p, tx_latency(u.d, rate)) for u in units_a)
+    return e_tx + sum(local_energy(caps, u.w, f) for u in units_b)
+
+
 def evaluate(
     assignment: Assignment,
     units: Iterable[Unit],
@@ -171,13 +183,9 @@ def evaluate(
     units_a = [by_id[i] for i in assignment.mec_ids()]
     units_b = [by_id[i] for i in assignment.local_ids()]
 
-    if units_a:
-        rate = uplink_rate(ch, snr(p, ch))
-        pipe = mec_pipeline(units_a, rate, mec)
-        e_tx = {u.id: tx_energy(p, tx_latency(u.d, rate)) for u in units_a}
-    else:
-        pipe = MecPipelineTimes((), (), ())
-        e_tx = {}
+    rate = uplink_rate(ch, snr(p, ch)) if units_a else 0.0
+    pipe = mec_pipeline(units_a, rate, mec)
+    e_tx = {u.id: tx_energy(p, tx_latency(u.d, rate)) for u in units_a}
     loc = local_sequence(units_b, f)
     e_local = {u.id: local_energy(caps, u.w, f) for u in units_b}
 
@@ -193,7 +201,7 @@ def evaluate(
         ts=max(last_local, last_mec),
         e_tx=e_tx,
         e_local=e_local,
-        e_total=sum(e_tx.values()) + sum(e_local.values()),
+        e_total=placement_energy(units_a, units_b, f, p, ch, caps),
     )
 
 

@@ -34,6 +34,7 @@ from .schedule import (
     evaluate,
     local_sequence,
     mec_pipeline,
+    placement_energy,
 )
 
 # Clock returned when nothing runs locally; local energy is zero regardless.
@@ -70,10 +71,10 @@ def _split_units(
     return local, offloaded
 
 
-def _deadlines(side: Sequence[Unit], t_user: float) -> list[float]:
+def _deadlines(side: Sequence[Unit], caps: DeviceCaps) -> list[float]:
     """Per-unit deadlines of one side, the last one capped by the user's."""
     dls = [u.deadline for u in side]
-    dls[-1] = min(dls[-1], t_user)
+    dls[-1] = min(dls[-1], caps.user_deadline)
     return dls
 
 
@@ -82,15 +83,11 @@ def _meets(done: Sequence[float], dls: Sequence[float]) -> bool:
 
 
 def _mec_meets(
-    offloaded: Sequence[Unit], p: float, ch: ChannelState, mec: MecCaps, t_user: float
+    offloaded: Sequence[Unit], dls: Sequence[float], p: float, ch: ChannelState, mec: MecCaps
 ) -> bool:
-    """Whether the offloaded side meets every deadline at power p."""
-    if not offloaded:
-        return True
+    """Whether the offloaded side meets its deadlines `dls` at power p."""
     rate = uplink_rate(ch, snr(p, ch)) if p > 0 else 0.0
-    if rate <= 0:
-        return False
-    return _meets(mec_pipeline(offloaded, rate, mec).lt, _deadlines(offloaded, t_user))
+    return rate > 0 and _meets(mec_pipeline(offloaded, rate, mec).lt, dls)
 
 
 def _nudge_up(x: float, cap: float, accepts: Callable[[float], bool]) -> float | None:
@@ -104,6 +101,46 @@ def _nudge_up(x: float, cap: float, accepts: Callable[[float], bool]) -> float |
         x = min(x + step, cap)
         step *= 2
     return x
+
+
+def _min_clock(local: Sequence[Unit], caps: DeviceCaps) -> float | None:
+    """Closed-form f* of the local side, nudged until `local_sequence` accepts
+    it; F_MIN_FLOOR for an empty side, None when even f_max fails."""
+    if not local:
+        return F_MIN_FLOOR
+    dls = _deadlines(local, caps)
+    cum_w = 0.0
+    f_star = 0.0
+    for u, dl in zip(local, dls):
+        cum_w += u.w
+        f_star = max(f_star, cum_w / dl)
+    return _nudge_up(f_star, caps.f_max, lambda f: _meets(local_sequence(local, f).lt, dls))
+
+
+def _min_power(
+    offloaded: Sequence[Unit], ch: ChannelState, mec: MecCaps, caps: DeviceCaps
+) -> float | None:
+    """Closed-form p* of the offloaded side, nudged until `mec_pipeline`
+    accepts it; 0 for an empty side, None for a zero gain or if p_max fails."""
+    if not offloaded:
+        return 0.0
+    gain = snr(1.0, ch)
+    if gain == 0:
+        return None
+    dls = _deadlines(offloaded, caps)
+    server = [u.w / mec.f_mec for u in offloaded]
+    r_star = 0.0
+    d_sent = 0.0
+    for i, u in enumerate(offloaded):
+        d_sent += u.d
+        busy = 0.0
+        for j in range(i, len(offloaded)):
+            busy += server[j]
+            slack = dls[j] - busy
+            r_star = max(r_star, d_sent / slack if slack > 0 else math.inf)
+    x = r_star * math.log(2.0) / ch.bw
+    p_star = math.expm1(x) / gain if x < 709.0 else math.inf  # expm1 overflows past ~709.78
+    return _nudge_up(p_star, caps.p_max, lambda p: _mec_meets(offloaded, dls, p, ch, mec))
 
 
 def min_feasible_frequency(
@@ -120,19 +157,9 @@ def min_feasible_frequency(
     fails or the offloaded side misses a deadline at power p.
     """
     local, offloaded = _split_units(assignment, units)
-    t_user = caps.user_deadline
-    if not _mec_meets(offloaded, p, ch, mec, t_user):
+    if offloaded and not _mec_meets(offloaded, _deadlines(offloaded, caps), p, ch, mec):
         return None  # no clock can repair the offloaded side
-    if not local:
-        return F_MIN_FLOOR
-
-    dls = _deadlines(local, t_user)
-    cum_w = 0.0
-    f_star = 0.0
-    for u, dl in zip(local, dls):
-        cum_w += u.w
-        f_star = max(f_star, cum_w / dl)
-    return _nudge_up(f_star, caps.f_max, lambda f: _meets(local_sequence(local, f).lt, dls))
+    return _min_clock(local, caps)
 
 
 def min_feasible_power(
@@ -150,29 +177,9 @@ def min_feasible_power(
     clock f.
     """
     local, offloaded = _split_units(assignment, units)
-    if not offloaded:
-        return 0.0
-    t_user = caps.user_deadline
-    if local and not _meets(local_sequence(local, f).lt, _deadlines(local, t_user)):
+    if offloaded and local and not _meets(local_sequence(local, f).lt, _deadlines(local, caps)):
         return None  # no power can repair the local side
-    gain = snr(1.0, ch)
-    if gain == 0:
-        return None
-
-    dls = _deadlines(offloaded, t_user)
-    server = [u.w / mec.f_mec for u in offloaded]
-    r_star = 0.0
-    d_sent = 0.0
-    for i, u in enumerate(offloaded):
-        d_sent += u.d
-        busy = 0.0
-        for j in range(i, len(offloaded)):
-            busy += server[j]
-            slack = dls[j] - busy
-            r_star = max(r_star, d_sent / slack if slack > 0 else math.inf)
-    x = r_star * math.log(2.0) / ch.bw
-    p_star = math.expm1(x) / gain if x < 709.0 else math.inf  # expm1 overflows past ~709.78
-    return _nudge_up(p_star, caps.p_max, lambda p: _mec_meets(offloaded, p, ch, mec, t_user))
+    return _min_power(offloaded, ch, mec, caps)
 
 
 def optimize_user(
@@ -185,34 +192,38 @@ def optimize_user(
 ) -> TunedSolution | None:
     """Least-energy placement for one user, or None when nothing fits.
 
-    The feasible set is built at (f_max, p_max). With `tune`, each member is
-    tuned clock-first (at p_max) then power (at the tuned clock); without,
-    it runs at (f_max, p_max). Every member is then re-validated and
-    scored. Ties prefer fewer offloaded units, then the lexicographically
-    smaller placement bits.
+    The feasible set is built at (f_max, p_max). With `tune`, each member
+    runs at its smallest feasible clock and power (they decouple); without,
+    at (f_max, p_max). Members are scored by `placement_energy` alone, ties
+    going to fewer offloaded units, then to the smaller placement bits; only
+    the winner is evaluated and re-validated.
     """
-    units = tuple(units)
-    feasible_set = enumerate_feasible(order_units(units), caps.f_max, caps.p_max, ch, mec, caps)
+    ordered = order_units(units)
+    feasible_set = enumerate_feasible(ordered, caps.f_max, caps.p_max, ch, mec, caps)
 
-    best_key: tuple | None = None
-    best: TunedSolution | None = None
+    best = None
     for bits in feasible_set.bits:
-        asg = assignment_from_bits(feasible_set.order, bits)
+        local = [u for u, b in zip(ordered, bits) if not b]
+        offloaded = [u for u, b in zip(ordered, bits) if b]
         f, p = caps.f_max, caps.p_max
         if tune:
-            f = min_feasible_frequency(asg, units, ch, mec, caps, p=p)
-            p = None if f is None else min_feasible_power(asg, units, ch, mec, caps, f=f)
-            if p is None:  # cannot happen for members of the feasible set
+            f = _min_clock(local, caps)
+            p = _min_power(offloaded, ch, mec, caps)
+            if f is None or p is None:  # cannot happen for members of the feasible set
                 continue
-        result = evaluate(asg, units, f, p, ch, mec, caps)
-        report = check_constraints(result, units, caps)
-        if not report.ok:
-            raise ConstraintViolationError(
-                sorted({v.constraint for v in report.violations}),
-                f"point (f={f}, p={p}) failed revalidation: {report.violations}",
-            )
-        key = (result.e_total, sum(bits), bits)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = TunedSolution(assignment=asg, f=f, p=p, energy=result.e_total, schedule=result)
-    return best
+        key = (placement_energy(offloaded, local, f, p, ch, caps), sum(bits), bits)
+        if best is None or key < best[0]:
+            best = (key, f, p)
+    if best is None:
+        return None
+
+    (_, _, bits), f, p = best
+    asg = assignment_from_bits(feasible_set.order, bits)
+    result = evaluate(asg, ordered, f, p, ch, mec, caps)
+    report = check_constraints(result, ordered, caps)
+    if not report.ok:
+        raise ConstraintViolationError(
+            sorted({v.constraint for v in report.violations}),
+            f"point (f={f}, p={p}) failed revalidation: {report.violations}",
+        )
+    return TunedSolution(assignment=asg, f=f, p=p, energy=result.e_total, schedule=result)

@@ -2,9 +2,10 @@
 
 These deliberately avoid the recurrence/search code paths they validate:
 the pipeline oracle is an event-driven simulation, the allocator oracle is
-plain exhaustive filtering, the tuner oracle is a dense grid search, and
-the clock/power minimizers are bisections on the evaluate/check_constraints
-verdict instead of closed forms.
+plain exhaustive filtering, the tuner oracle is a dense grid search, the
+clock/power minimizers are bisections on the evaluate/check_constraints
+verdict instead of closed forms, and the leaf scorer oracle builds, tunes,
+evaluates and revalidates every feasible leaf through the public API.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from collections import deque
 
 import numpy as np
 
-from mecoff.allocate import order_units
+from mecoff.allocate import enumerate_feasible, order_units
 from mecoff.model import snr, uplink_rate
 from mecoff.schedule import assignment_from_bits, check_constraints, evaluate
-from mecoff.tune import F_MIN_FLOOR
+from mecoff.tune import F_MIN_FLOOR, min_feasible_frequency, min_feasible_power
 
 # Bisections run to 1e-8 relative width. The absolute floors stop the loop
 # when the feasible region extends all the way to zero.
@@ -177,3 +178,35 @@ def bisect_min_power(assignment, units, ch, mec, caps, f):
     return _bisect(
         lambda p: _accepted(assignment, units, f, p, ch, mec, caps), caps.p_max, _ABS_P
     )
+
+
+def exhaustive_best(units, ch, mec, caps, *, tune=True):
+    """Counterpart of mecoff.tune.optimize_user that takes no shortcut.
+
+    Every member of the feasible set is built as an Assignment, tuned through
+    min_feasible_frequency (at p_max) then min_feasible_power (at that clock),
+    or left at (f_max, p_max) without `tune`, then evaluated and revalidated.
+    Returns (bits, f, p, energy) of the least (energy, popcount, bits) key,
+    or None when no member has a point.
+    """
+    units = tuple(units)
+    fs = enumerate_feasible(order_units(units), caps.f_max, caps.p_max, ch, mec, caps)
+    best_key = None
+    best = None
+    for bits in fs.bits:
+        asg = assignment_from_bits(fs.order, bits)
+        f, p = caps.f_max, caps.p_max
+        if tune:
+            f = min_feasible_frequency(asg, units, ch, mec, caps, p=p)
+            p = None if f is None else min_feasible_power(asg, units, ch, mec, caps, f=f)
+            if p is None:
+                continue
+        result = evaluate(asg, units, f, p, ch, mec, caps)
+        report = check_constraints(result, units, caps)
+        if not report.ok:
+            raise AssertionError(f"leaf {bits} at (f={f}, p={p}) fails {report.violations}")
+        key = (result.e_total, sum(bits), bits)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (bits, f, p, result.e_total)
+    return best

@@ -144,3 +144,41 @@ class TestValidateConfigCommand:
         path.write_text(text)
         assert main(["validate-config", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNonFiniteAndExtremeInputs:
+    @pytest.mark.parametrize("text, field", [
+        ("task_size = 1e6,inf\n", "task_size"),
+        ("task_size = 1e6,nan\n", "task_size"),
+        ("cycle_density = 40,inf\n", "cycle_density"),
+        ("bw = inf\n", "bw"),
+        ("f_max = inf\n", "f_max"),
+        ("p_max = inf\n", "p_max"),
+        ("tasks_per_user = 1,inf\n", "tasks_per_user"),
+        ("target_snr_db = 10,4000\n", "snr setpoint 4000.0"),
+    ])
+    def test_validate_config_names_the_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_unrepresentable_snr_setpoint_is_reported(self, tmp_path, capsys, snr):
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--snr", snr,
+                     "--reps", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr setpoint")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("snr", ["400", "-400"])
+    def test_extreme_representable_snr_setpoint_runs(self, tmp_path, snr):
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--snr", snr,
+                     "--methods", "M1,M5", "--reps", "1", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert [r.snr_db for r in load_rows(tmp_path / "o" / "results.csv")] == [float(snr)] * 2

@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from mecoff.scenario import (
     demo_config,
     generate,
     load_config,
+    noise_density,
     sample_channel,
     save_config,
     synthesize_frames,
@@ -216,3 +220,50 @@ class TestConfigIo:
         with pytest.raises(ConfigError):
             load_config(path)
 
+
+
+class TestValidateRejectsNonFiniteFields:
+    @pytest.mark.parametrize("field, value", [
+        ("task_size", (1e6, math.inf)),
+        ("task_size", (1e6, math.nan)),
+        ("cycle_density", (40.0, math.inf)),
+        ("bw", math.inf),
+        ("f_max", math.inf),
+        ("p_max", math.inf),
+        ("kappa", math.nan),
+        ("deadlines", (0.1, math.inf)),
+    ])
+    def test_field_is_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            small_config(**{field: value}).validate()
+
+    def test_shipped_configs_still_validate(self):
+        demo_config().validate()
+        workloads = sorted((Path(__file__).parents[1] / "bench" / "workloads").glob("*.cfg"))
+        assert len(workloads) == 3
+        for path in workloads:
+            load_config(path)
+
+
+class TestNoiseDensity:
+    @pytest.mark.parametrize("snr_db", [-400.0, 0.0, 17.0, 400.0])
+    def test_representable_setpoint(self, snr_db):
+        n0 = noise_density(snr_db, 20e6, 1.0)
+        assert n0 == 1.0 / (20e6 * 10.0 ** (snr_db / 10.0))
+        assert sample_channel(np.random.default_rng(0), snr_db, 20e6, 1.0).n0 == n0
+
+    @pytest.mark.parametrize("snr_db, bw", [
+        (4000.0, 20e6),  # 10^(snr/10) overflows
+        (-4000.0, 20e6),  # 10^(snr/10) underflows to 0
+        (3050.0, 20e6),  # bw * 10^(snr/10) overflows, n0 = 0
+        (math.inf, 20e6),
+        (-math.inf, 20e6),
+        (math.nan, 20e6),
+    ])
+    def test_unrepresentable_setpoint(self, snr_db, bw):
+        with pytest.raises(ConfigError, match="snr setpoint"):
+            noise_density(snr_db, bw, 1.0)
+        with pytest.raises(ConfigError, match="snr setpoint"):
+            sample_channel(np.random.default_rng(0), snr_db, bw, 1.0)
+        with pytest.raises(ConfigError, match="snr setpoint"):
+            small_config(target_snr_db=(10.0, snr_db), bw=bw).validate()

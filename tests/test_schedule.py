@@ -13,6 +13,7 @@ from mecoff.schedule import (
     evaluate,
     local_sequence,
     mec_pipeline,
+    placement_energy,
 )
 from oracles import des_pipeline
 
@@ -212,3 +213,30 @@ class TestAssignment:
         assert asg.bits() == (1, 0, 1)
         assert asg.mec_ids() == (5, 9)
         assert asg.local_ids() == (3,)
+
+
+class TestPlacementEnergy:
+    def test_equals_evaluate_total_and_its_unit_terms(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            k = int(rng.integers(1, 9))
+            us = [
+                Unit(id=i, user=0, task_id=0, type_id=i, source_id=i,
+                     d=float(rng.uniform(1e4, 3e6)), w=float(rng.uniform(1e6, 1e9)),
+                     deadline=1.0)
+                for i in range(k)
+            ]
+            bits = [int(b) for b in rng.integers(0, 2, size=k)]
+            asg = assignment_from_bits(range(k), bits)
+            ch = ChannelState(h=float(rng.uniform(0.05, 3.0)), bw=20e6,
+                              n0=float(10.0 ** rng.uniform(-12, -6)))
+            caps = DeviceCaps(f_max=2e9, p_max=1.0, kappa=float(10.0 ** rng.uniform(-28, -11)),
+                              user_deadline=1.0)
+            f = float(rng.uniform(1e6, 2e9))
+            p = float(rng.uniform(1e-4, 1.0)) if any(bits) else float(rng.choice([0.0, 0.5]))
+            res = evaluate(asg, us, f, p, ch, UNIT_MEC, caps)
+            offloaded = [u for u, b in zip(us, bits) if b]
+            local = [u for u, b in zip(us, bits) if not b]
+            energy = placement_energy(offloaded, local, f, p, ch, caps)
+            assert energy == res.e_total
+            assert energy == sum(res.e_tx.values()) + sum(res.e_local.values())

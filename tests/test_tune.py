@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from mecoff.tune import (
     optimize_user,
     tx_energy_total,
 )
-from oracles import bisect_min_frequency, bisect_min_power, grid_search_best
+from oracles import bisect_min_frequency, bisect_min_power, exhaustive_best, grid_search_best
 
 MEC = MecCaps(f_mec=20e9)
 
@@ -389,3 +390,109 @@ class TestEveryFeasibleLeafIsTuned:
         assert members
         for member in members:
             assert tuned_point(member, us, ch, MEC, c) is not None
+
+
+@st.composite
+def user_cases(draw):
+    """A user of 1..8 units with its channel and caps, for the leaf scorer.
+
+    The gain is zero, vanishing or typical. Some units are twins of earlier
+    ones (same bits, cycles and deadline), so mirrored placements tie
+    exactly on energy. Deadlines are either drawn, or set exactly at the
+    completion times a drawn placement reaches at a drawn (f0, p0) point,
+    with the user deadline drawn or exactly at the makespan.
+    """
+    k = draw(st.integers(1, 8))
+    gain = draw(st.one_of(
+        st.just(0.0),
+        *(st.floats(lo, hi).map(lambda e: 10.0**e) for lo, hi in ((-300, -17), (-2, 5)))
+    ))
+    ch = ChannelState(h=math.sqrt(gain), bw=20e6, n0=1.0 / 20e6)
+    us = []
+    for i in range(k):
+        if us and draw(st.booleans()):
+            us.append(replace(draw(st.sampled_from(us)), id=i, type_id=i, source_id=i))
+        else:
+            us.append(unit(i, d=draw(st.floats(1e5, 3e6)), w=draw(st.floats(1e6, 1e9)),
+                           deadline=draw(st.floats(0.005, 2.0))))
+    t_user = draw(st.floats(0.005, 2.0))
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        f0 = 2e9 * draw(st.floats(0.01, 1.0))
+        p0 = draw(st.floats(0.01, 1.0))
+        if not any(bits) or uplink_rate(ch, snr(p0, ch)) > 0:
+            loose = [replace(u, deadline=1e300) for u in us]
+            asg = assignment_from_bits(range(k), bits)
+            res = evaluate(asg, loose, f0, p0, ch, MEC, caps(user_deadline=1e300))
+            done = {**res.lt_local, **res.lt_mec}
+            us = [replace(u, deadline=done[u.id]) for u in us]
+            if draw(st.booleans()):
+                t_user = res.ts
+    return us, ch, caps(user_deadline=t_user)
+
+
+def solution_tuple(sol):
+    return None if sol is None else (sol.assignment.bits(), sol.f, sol.p, sol.energy)
+
+
+class TestLeafScorerAgainstExhaustive:
+    """optimize_user scores leaves without building schedules; the oracle
+    builds, tunes, evaluates and revalidates every one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(user_cases(), st.booleans())
+    def test_same_winner_point_and_energy(self, case, tune):
+        us, ch, c = case
+        sol = optimize_user(us, ch, MEC, c, tune=tune)
+        assert solution_tuple(sol) == exhaustive_best(us, ch, MEC, c, tune=tune)
+        if sol is not None:
+            assert sol.energy == sol.schedule.e_total
+
+    @pytest.mark.parametrize("tune", [True, False])
+    def test_twin_units_tie_and_the_bits_decide(self, tune):
+        # both local needs 3e8 cycles by 0.1 s, past f_max; offloading both
+        # costs more than offloading one, and either one costs the same
+        us = [unit(0, w=1.5e8), unit(1, w=1.5e8)]
+        c = caps(kappa=1e-30)
+        sol = optimize_user(us, channel(), MEC, c, tune=tune)
+        assert sol.assignment.bits() == (0, 1)
+        mirror = evaluate(assignment_from_bits([0, 1], [1, 0]), us, sol.f, sol.p, channel(), MEC, c)
+        assert mirror.e_total == sol.energy
+        assert solution_tuple(sol) == exhaustive_best(us, channel(), MEC, c, tune=tune)
+
+
+def loose_user(k=12):
+    """k units whose every placement meets every deadline at the maxima."""
+    return [unit(i, d=1e6 + 1e4 * i, w=2e8 - 1e6 * i, deadline=2.0) for i in range(k)]
+
+
+class TestLeafScoringWork:
+    """Only the winner of a user's feasible set is evaluated and checked."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mecoff.tune, "evaluate", counted("evaluate", evaluate))
+        monkeypatch.setattr(
+            mecoff.tune, "check_constraints", counted("check", check_constraints)
+        )
+        return calls
+
+    @pytest.mark.parametrize("tune", [True, False])
+    def test_once_per_solved_user(self, calls, tune):
+        us, c = loose_user(), caps(user_deadline=2.0)
+        assert len(enumerate_feasible(order_units(us), c.f_max, c.p_max, channel(), MEC, c)) == 4096
+        assert optimize_user(us, channel(), MEC, c, tune=tune) is not None
+        assert calls == Counter(evaluate=1, check=1)
+
+    def test_never_for_an_empty_feasible_set(self, calls):
+        ch = channel(mean_snr_at_1w=0.01)
+        assert optimize_user([unit(0, d=5e6, w=4e9, deadline=0.05)], ch, MEC, caps()) is None
+        assert calls == Counter()
