@@ -4,13 +4,13 @@ Every (snr index, replication) cell draws a fresh scenario from a sub-seed
 split off the sweep seed with numpy's SeedSequence spawn keys, so appending
 SNR points or replications never perturbs existing cells, and all methods
 inside a cell score the same draw. Aggregation is an ordered reduction,
-which keeps reruns byte-identical.
+fed cell by cell as the sweep runs, which keeps reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,38 +85,44 @@ def _run_cell(spec: SweepSpec, snr_index: int, replication: int) -> dict[str, li
     }
 
 
+@dataclass
+class _RowSums:
+    """Running reduction of one (snr, method) row, fed in replication order."""
+
+    energy_per_rep: list[float] = field(default_factory=list)
+    ts_values: list[float] = field(default_factory=list)
+    failed: int = 0
+    total: int = 0
+
+    def add(self, results: list[MethodResult]) -> None:
+        self.energy_per_rep.append(sum(r.energy for r in results))
+        self.failed += sum(r.failed_tasks for r in results)
+        self.total += sum(r.total_tasks for r in results)
+        self.ts_values.extend(r.ts for r in results if r.solution is not None)
+
+    def row(self, snr_db: float, method: str) -> SweepRow:
+        ts = self.ts_values
+        return SweepRow(
+            snr_db=float(snr_db),
+            method=method,
+            mean_energy_j=sum(self.energy_per_rep) / len(self.energy_per_rep),
+            failure_probability=(self.failed / self.total) if self.total else 0.0,
+            mean_ts_s=(sum(ts) / len(ts)) if ts else 0.0,
+            replications=len(self.energy_per_rep),
+        )
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Run the full matrix; deterministic for a fixed spec (cells are
-    independent and reduced in index order)."""
-    snrs = spec.snr_points
-    by_cell = {
-        (si, ri): _run_cell(spec, si, ri)
-        for si in range(len(snrs))
-        for ri in range(spec.replications)
-    }
+    independent and reduced in index order). Each cell is folded into its
+    rows as soon as it finishes, so only one cell's results are held."""
     rows: list[SweepRow] = []
-    for si, snr_db in enumerate(snrs):
-        for m in spec.methods:
-            energy_per_rep: list[float] = []
-            ts_values: list[float] = []
-            failed = 0
-            total = 0
-            for ri in range(spec.replications):
-                results = by_cell[(si, ri)][m]
-                energy_per_rep.append(sum(r.energy for r in results))
-                failed += sum(r.failed_tasks for r in results)
-                total += sum(r.total_tasks for r in results)
-                ts_values.extend(r.ts for r in results if r.solution is not None)
-            rows.append(
-                SweepRow(
-                    snr_db=float(snr_db),
-                    method=m,
-                    mean_energy_j=sum(energy_per_rep) / len(energy_per_rep),
-                    failure_probability=(failed / total) if total else 0.0,
-                    mean_ts_s=(sum(ts_values) / len(ts_values)) if ts_values else 0.0,
-                    replications=spec.replications,
-                )
-            )
+    for si, snr_db in enumerate(spec.snr_points):
+        sums = {m: _RowSums() for m in spec.methods}
+        for ri in range(spec.replications):
+            for m, results in _run_cell(spec, si, ri).items():
+                sums[m].add(results)
+        rows.extend(sums[m].row(snr_db, m) for m in spec.methods)
     return rows
 
 

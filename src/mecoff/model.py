@@ -107,6 +107,16 @@ def uplink_rate(ch: ChannelState, snr_value: float) -> float:
     return ch.bw * math.log1p(snr_value) / math.log(2.0)
 
 
+def power_for_rate(ch: ChannelState, r: float) -> float:
+    """Transmit power at which the uplink runs at r bits/s, the inverse of
+    uplink_rate through expm1; inf for a zero gain or past expm1's range."""
+    gain = snr(1.0, ch)
+    x = r * math.log(2.0) / ch.bw
+    if gain == 0 or x >= 709.0:  # expm1 overflows past ~709.78
+        return math.inf
+    return math.expm1(x) / gain
+
+
 def local_latency(w: float, f: float) -> float:
     """Seconds to run w cycles at clock f."""
     if f <= 0:

@@ -5,16 +5,24 @@ completion times and the transmit power only moves the offload pipeline,
 so the least-energy feasible point is (smallest feasible f, smallest
 feasible p). CPU energy grows as f^2 and transmission energy grows
 strictly with p (ln(1+x) > x/(1+x)), hence "smallest feasible" is also
-"cheapest". Both minima have closed forms, with the last unit's deadline
-capped by the user deadline. Over the local units, with W_i the cycles up
-to unit i, f* = max_i W_i / dl_i. The pipeline finishes offloaded unit j
-at max_{i<=j} (D_i/r + C_ij), D_i the bits sent up to unit i and C_ij the
-server time of units i..j, so r* = max_{i<=j} D_i / (dl_j - C_ij) and
+"cheapest". Both minima have closed forms, with every deadline capped by
+the user deadline. Over the local units, with W_i the cycles up to unit i,
+f* = max_i W_i / dl_i. The pipeline finishes offloaded unit j at
+max_{i<=j} (D_i/r + C_ij), D_i the bits sent up to unit i and C_ij the
+server time of units i..j, so r* = max_{i<=j} D_i / (dl_j - C_ij) (the
+recurrence `allocate.rate_floor_step` that the tree walk also carries) and
 p* = expm1(r* ln2 / bw) / gain. Each is then raised in doubling steps (1,
 2, 4, ... ulps, never past the cap) until `local_sequence` /
 `mec_pipeline` accept it, so the point passes `check_constraints` exactly.
-The user-level optimum is the cheapest member of the feasible placement
-set, each member scored at its tuned point or, untuned, at the maxima.
+
+The user-level optimum is the cheapest feasible placement, each scored at
+its tuned point or, untuned, at the maxima. `optimize_user` finds it with
+`allocate.branch_and_bound`, passing the best energy scored so far as the
+incumbent: a subtree is cut only when its prefix energy at the closed-form
+floors exceeds the incumbent by more than the relative `PRUNE_MARGIN`
+(1e-9, far above the float rounding between a bound and a leaf's energy),
+so only leaves strictly dearer than the winner are skipped and the winner,
+its point and its energy are those of an exhaustive scan.
 """
 
 from __future__ import annotations
@@ -23,9 +31,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .allocate import enumerate_feasible, order_units
+from .allocate import branch_and_bound, order_units, rate_floor_step
+# Not called here, but bench/layers.py traces this name at this binding.
+from .allocate import enumerate_feasible  # noqa: F401
 from .errors import ConstraintViolationError, InvalidParameterError
-from .model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
+from .model import ChannelState, DeviceCaps, MecCaps, Unit, power_for_rate, snr, uplink_rate
 from .schedule import (
     Assignment,
     ScheduleResult,
@@ -72,10 +82,10 @@ def _split_units(
 
 
 def _deadlines(side: Sequence[Unit], caps: DeviceCaps) -> list[float]:
-    """Per-unit deadlines of one side, the last one capped by the user's."""
-    dls = [u.deadline for u in side]
-    dls[-1] = min(dls[-1], caps.user_deadline)
-    return dls
+    """Per-unit deadlines of one side, each capped by the user's. Completion
+    times never fall along a side, so this is the same test as capping only
+    the last one."""
+    return [min(u.deadline, caps.user_deadline) for u in side]
 
 
 def _meets(done: Sequence[float], dls: Sequence[float]) -> bool:
@@ -121,25 +131,18 @@ def _min_power(
     offloaded: Sequence[Unit], ch: ChannelState, mec: MecCaps, caps: DeviceCaps
 ) -> float | None:
     """Closed-form p* of the offloaded side, nudged until `mec_pipeline`
-    accepts it; 0 for an empty side, None for a zero gain or if p_max fails."""
+    accepts it; 0 for an empty side, None for a zero gain or if p_max fails
+    (a zero gain needs an infinite power, which the cap turns into a miss)."""
     if not offloaded:
         return 0.0
-    gain = snr(1.0, ch)
-    if gain == 0:
-        return None
     dls = _deadlines(offloaded, caps)
-    server = [u.w / mec.f_mec for u in offloaded]
+    sent: list[float] = []
+    busy: list[float] = []
     r_star = 0.0
-    d_sent = 0.0
-    for i, u in enumerate(offloaded):
-        d_sent += u.d
-        busy = 0.0
-        for j in range(i, len(offloaded)):
-            busy += server[j]
-            slack = dls[j] - busy
-            r_star = max(r_star, d_sent / slack if slack > 0 else math.inf)
-    x = r_star * math.log(2.0) / ch.bw
-    p_star = math.expm1(x) / gain if x < 709.0 else math.inf  # expm1 overflows past ~709.78
+    for u, dl in zip(offloaded, dls):
+        sent, busy, r = rate_floor_step(sent, busy, u.d, u.w / mec.f_mec, dl)
+        r_star = max(r_star, r)
+    p_star = power_for_rate(ch, r_star)
     return _nudge_up(p_star, caps.p_max, lambda p: _mec_meets(offloaded, dls, p, ch, mec))
 
 
@@ -192,24 +195,29 @@ def optimize_user(
 ) -> TunedSolution | None:
     """Least-energy placement for one user, or None when nothing fits.
 
-    The feasible set is built at (f_max, p_max). With `tune`, each member
-    runs at its smallest feasible clock and power (they decouple); without,
-    at (f_max, p_max). Members are scored by `placement_energy` alone, ties
-    going to fewer offloaded units, then to the smaller placement bits; only
-    the winner is evaluated and re-validated.
+    The placement tree is searched at (f_max, p_max) by `branch_and_bound`,
+    with the best energy scored so far as its incumbent. With `tune`, each
+    leaf that survives runs at its smallest feasible clock and power (they
+    decouple); without, at (f_max, p_max). Leaves are scored by
+    `placement_energy` alone, ties going to fewer offloaded units, then to
+    the smaller placement bits; only the winner is evaluated and
+    re-validated. The cost cut only drops leaves strictly dearer than the
+    incumbent, so the winner is the one an exhaustive scan would pick.
     """
     ordered = order_units(units)
-    feasible_set = enumerate_feasible(ordered, caps.f_max, caps.p_max, ch, mec, caps)
-
     best = None
-    for bits in feasible_set.bits:
+    leaves = branch_and_bound(
+        ordered, caps.f_max, caps.p_max, ch, mec, caps,
+        lambda: best[0][0] if best else math.inf, tuned=tune,
+    )
+    for bits in leaves:
         local = [u for u, b in zip(ordered, bits) if not b]
         offloaded = [u for u, b in zip(ordered, bits) if b]
         f, p = caps.f_max, caps.p_max
         if tune:
             f = _min_clock(local, caps)
             p = _min_power(offloaded, ch, mec, caps)
-            if f is None or p is None:  # cannot happen for members of the feasible set
+            if f is None or p is None:  # cannot happen for a feasible leaf
                 continue
         key = (placement_energy(offloaded, local, f, p, ch, caps), sum(bits), bits)
         if best is None or key < best[0]:
@@ -218,7 +226,7 @@ def optimize_user(
         return None
 
     (_, _, bits), f, p = best
-    asg = assignment_from_bits(feasible_set.order, bits)
+    asg = assignment_from_bits([u.id for u in ordered], bits)
     result = evaluate(asg, ordered, f, p, ch, mec, caps)
     report = check_constraints(result, ordered, caps)
     if not report.ok:

@@ -65,13 +65,12 @@ def des_pipeline(tx_times, comp_times):
 
 
 def brute_force_feasible(ordered_units, f, p, ch, mec, caps):
-    """All placements passing the deadline checks, by exhaustive evaluation."""
+    """All placements passing the deadline checks, by exhaustive evaluation;
+    offloading over a zero-rate uplink fails them."""
     order = tuple(u.id for u in ordered_units)
     feasible = set()
     for bits in itertools.product((0, 1), repeat=len(order)):
-        asg = assignment_from_bits(order, bits)
-        result = evaluate(asg, ordered_units, f, p, ch, mec, caps)
-        if check_constraints(result, ordered_units, caps).ok:
+        if _accepted(assignment_from_bits(order, bits), ordered_units, f, p, ch, mec, caps):
             feasible.add(bits)
     return feasible
 

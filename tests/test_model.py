@@ -14,6 +14,7 @@ from mecoff.model import (
     local_energy,
     local_latency,
     mec_latency,
+    power_for_rate,
     snr,
     tx_energy,
     tx_latency,
@@ -69,6 +70,19 @@ class TestUplinkRate:
         first = np.diff(rates)
         assert np.all(first > 0)
         assert np.all(np.diff(first) <= 1e-9 * rates.max())
+
+
+class TestPowerForRate:
+    @given(st.floats(-3.0, 6.0), st.floats(1e3, 1e9))
+    def test_inverts_uplink_rate(self, log_gain, r):
+        ch = make_channel(h=math.sqrt(10.0**log_gain), bw=20e6)
+        p = power_for_rate(ch, r)
+        assert uplink_rate(ch, snr(p, ch)) == pytest.approx(r, rel=1e-12)
+
+    def test_zero_gain_or_beyond_range_needs_infinite_power(self):
+        assert power_for_rate(make_channel(h=0.0, bw=20e6), 1e6) == math.inf
+        assert power_for_rate(make_channel(bw=1.0), 1025.0) == math.inf
+        assert power_for_rate(make_channel(bw=20e6), math.inf) == math.inf
 
 
 class TestLocalCompute:

@@ -28,7 +28,13 @@ from mecoff.tune import (
     optimize_user,
     tx_energy_total,
 )
-from oracles import bisect_min_frequency, bisect_min_power, exhaustive_best, grid_search_best
+from oracles import (
+    bisect_min_frequency,
+    bisect_min_power,
+    brute_force_feasible,
+    exhaustive_best,
+    grid_search_best,
+)
 
 MEC = MecCaps(f_mec=20e9)
 
@@ -461,6 +467,103 @@ class TestLeafScorerAgainstExhaustive:
         assert solution_tuple(sol) == exhaustive_best(us, channel(), MEC, c, tune=tune)
 
 
+@st.composite
+def pruning_cases(draw):
+    """A user of 1..12 units for the branch-and-bound.
+
+    The SNR at 1 W is 0..50 dB, vanishing or zero. Some units are twins of
+    earlier ones, so mirrored placements tie exactly on energy. Deadlines
+    are loose (every placement fits, so only the cost cut prunes), drawn, or
+    set exactly at the completion times a drawn placement reaches at a drawn
+    (f0, p0) point, with the user deadline then exactly at the makespan.
+    """
+    k = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("snr", "snr", "vanishing", "zero")))
+    exponent = {"snr": (0, 5), "vanishing": (-300, -17)}.get(kind)
+    gain = 10.0 ** draw(st.floats(*exponent)) if exponent else 0.0
+    ch = ChannelState(h=math.sqrt(gain), bw=20e6, n0=1.0 / 20e6)
+    us = []
+    for i in range(k):
+        if us and draw(st.booleans()):
+            us.append(replace(draw(st.sampled_from(us)), id=i, type_id=i, source_id=i))
+        else:
+            us.append(unit(i, d=draw(st.floats(1e5, 3e6)), w=draw(st.floats(1e6, 1e9)),
+                           deadline=draw(st.floats(0.005, 2.0))))
+    t_user = draw(st.floats(0.005, 2.0))
+    mode = draw(st.sampled_from(["loose", "drawn", "exact"]))
+    if mode == "loose":
+        us = [replace(u, deadline=draw(st.floats(10.0, 100.0))) for u in us]
+        t_user = draw(st.floats(10.0, 100.0))
+    elif mode == "exact":
+        bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        if not any(bits) or gain > 0:
+            loose = [replace(u, deadline=1e300) for u in us]
+            asg = assignment_from_bits(range(k), bits)
+            res = evaluate(asg, loose, 2e9 * draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)),
+                           ch, MEC, caps(user_deadline=1e300))
+            done = {**res.lt_local, **res.lt_mec}
+            us = [replace(u, deadline=done[u.id]) for u in us]
+            t_user = res.ts
+    return us, ch, caps(user_deadline=t_user)
+
+
+class TestBranchAndBoundAgainstExhaustive:
+    """The cost cut drops no leaf that could tie or beat the winner: the
+    result equals the oracle's scan of every feasible leaf, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pruning_cases())
+    def test_same_winner_and_same_feasible_set(self, case):
+        us, ch, c = case
+        for tune in (True, False):
+            sol = optimize_user(us, ch, MEC, c, tune=tune)
+            assert solution_tuple(sol) == exhaustive_best(us, ch, MEC, c, tune=tune)
+        ordered = order_units(us)
+        fs = enumerate_feasible(ordered, c.f_max, c.p_max, ch, MEC, c)
+        assert len(set(fs.bits)) == len(fs)
+        assert set(fs.bits) == brute_force_feasible(ordered, c.f_max, c.p_max, ch, MEC, c)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 50.0])
+    def test_loose_twelve_units_with_twins(self, snr_db):
+        # every one of the 4096 placements fits; twins make mirrored ties
+        us = loose_user()
+        us[7] = replace(us[2], id=7, type_id=7, source_id=7)
+        ch, c = channel(mean_snr_at_1w=10.0 ** (snr_db / 10)), caps(user_deadline=2.0)
+        for tune in (True, False):
+            sol = optimize_user(us, ch, MEC, c, tune=tune)
+            assert solution_tuple(sol) == exhaustive_best(us, ch, MEC, c, tune=tune)
+
+
+@st.composite
+def grown_users(draw):
+    """A user from `user_cases` plus one more unit drawn the same way."""
+    us, ch, c = draw(user_cases())
+    extra = unit(len(us), d=draw(st.floats(1e5, 3e6)), w=draw(st.floats(1e6, 1e9)),
+                 deadline=draw(st.floats(0.005, 2.0)))
+    if draw(st.booleans()):
+        extra = replace(draw(st.sampled_from(us)), id=len(us), type_id=len(us), source_id=len(us))
+    return us, extra, ch, c
+
+
+class TestAddingAUnit:
+    """Adding a unit never lowers the optimal energy and never makes an
+    infeasible user feasible: dropping it from any placement of the larger
+    user leaves a placement of the smaller one whose units finish no later,
+    needs no more clock or power, and costs no more. The cost cut rests on
+    the same monotonicity."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grown_users(), st.booleans())
+    def test_energy_never_falls_and_feasibility_never_appears(self, case, tune):
+        us, extra, ch, c = case
+        before = optimize_user(us, ch, MEC, c, tune=tune)
+        after = optimize_user(us + [extra], ch, MEC, c, tune=tune)
+        if before is None:
+            assert after is None
+        elif after is not None:
+            assert after.energy >= before.energy
+
+
 def loose_user(k=12):
     """k units whose every placement meets every deadline at the maxima."""
     return [unit(i, d=1e6 + 1e4 * i, w=2e8 - 1e6 * i, deadline=2.0) for i in range(k)]
@@ -490,6 +593,22 @@ class TestLeafScoringWork:
         us, c = loose_user(), caps(user_deadline=2.0)
         assert len(enumerate_feasible(order_units(us), c.f_max, c.p_max, channel(), MEC, c)) == 4096
         assert optimize_user(us, channel(), MEC, c, tune=tune) is not None
+        assert calls == Counter(evaluate=1, check=1)
+
+    def test_cost_cut_tunes_few_leaves(self, calls, monkeypatch):
+        tuned = Counter()
+        min_power = mecoff.tune._min_power
+
+        def counted(*args):
+            tuned["leaves"] += 1
+            return min_power(*args)
+
+        monkeypatch.setattr(mecoff.tune, "_min_power", counted)
+        us, c = loose_user(), caps(user_deadline=2.0)
+        leaves = len(enumerate_feasible(order_units(us), c.f_max, c.p_max, channel(), MEC, c))
+        assert leaves == 4096
+        assert optimize_user(us, channel(), MEC, c) is not None
+        assert 0 < tuned["leaves"] < 0.05 * leaves
         assert calls == Counter(evaluate=1, check=1)
 
     def test_never_for_an_empty_feasible_set(self, calls):
