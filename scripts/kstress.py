@@ -65,7 +65,7 @@ def solve(k, snr_db, repeats):
         "seconds": statistics.median(times),
         "repeats": repeats,
         "leaves_scored": scored,
-        "offloaded": None if sol is None else sum(sol.assignment.bits()),
+        "offloaded": None if sol is None else sum(sol.assignment.bits),
         "energy_j": None if sol is None else sol.energy,
     }
 

@@ -18,9 +18,11 @@ the energy of the best leaf found so far, a node whose bound exceeds it by
 more than PRUNE_MARGIN (relative) is dropped with its subtree. The margin
 covers float rounding: the floors come from the same float operations as
 the leaf tuner's closed forms, so they never exceed a leaf's clock and
-power, and the bound and a leaf's energy each stay within 1e-13 (relative)
-of their exact values for MAX_TREE_DEPTH units, so no leaf that could tie
-or beat the incumbent is ever dropped.
+power (even where a floor's own rounding, from the cancellation in
+dl - C_ij, reaches ~1e-12), and the bound and a leaf's energy each stay
+within 1e-13 (relative) of the exact energy at their float clock and power
+for MAX_TREE_DEPTH units, so no leaf that could tie or beat the incumbent
+is ever dropped.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, MecoffError
@@ -73,6 +74,7 @@ def _cmd_validate_config(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: rebuilding it per call grows peak RSS
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mecoff",
@@ -105,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MecoffError, FileNotFoundError) as exc:

@@ -38,6 +38,9 @@ class SweepSpec:
         unknown = [m for m in self.methods if m not in METHOD_IDS]
         if unknown:
             raise ConfigError(f"methods: unknown {unknown}, expected subset of {METHOD_IDS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods: {repeated} listed more than once")
         if self.replications < 1:
             raise ConfigError(f"replications: must be >= 1, got {self.replications}")
         if self.seed < 0:

@@ -398,7 +398,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
     keys keep their defaults. Tuples are comma separated; '#' starts a
     comment."""
     overrides = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    with open(path) as fh:  # Path.read_text grows peak RSS over many calls
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

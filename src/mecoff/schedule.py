@@ -11,8 +11,7 @@ two sides finishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConstraintViolationError, InvalidParameterError
 from .model import (
@@ -30,121 +29,99 @@ from .model import (
 )
 
 
-class Placement(Enum):
-    LOCAL = 0
-    MEC = 1
-
-
 @dataclass(frozen=True)
 class Assignment:
-    """A processing order plus a LOCAL/MEC decision for every unit.
+    """A processing order plus one offload bit per unit (1 = offloaded,
+    0 = local), aligned with `order`.
 
     Offloaded units form one FIFO subsequence of `order`, local units the
     other; both sides are served strictly in that order.
     """
 
     order: tuple[int, ...]
-    placement: Mapping[int, Placement]
+    bits: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "bits", tuple(self.bits))
         if len(set(self.order)) != len(self.order):
             raise InvalidParameterError("assignment order repeats a unit id")
-        if set(self.order) != set(self.placement):
-            raise InvalidParameterError("placement must cover exactly the ordered units")
+        if len(self.bits) != len(self.order):
+            raise InvalidParameterError("assignment needs exactly one bit per ordered unit")
+        if any(b not in (0, 1) for b in self.bits):
+            raise InvalidParameterError(f"assignment bits must be 0 or 1, got {self.bits}")
 
     def mec_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in self.order if self.placement[i] is Placement.MEC)
+        return tuple(i for i, b in zip(self.order, self.bits) if b)
 
     def local_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in self.order if self.placement[i] is Placement.LOCAL)
+        return tuple(i for i, b in zip(self.order, self.bits) if not b)
 
-    def bits(self) -> tuple[int, ...]:
-        """1 = offloaded, 0 = local, aligned with `order`."""
-        return tuple(int(self.placement[i] is Placement.MEC) for i in self.order)
-
-
-def assignment_from_bits(order: Sequence[int], bits: Sequence[int]) -> Assignment:
-    placement = {
-        uid: (Placement.MEC if b else Placement.LOCAL) for uid, b in zip(order, bits)
-    }
-    return Assignment(order=tuple(order), placement=placement)
+    def split(self, units: Iterable[Unit]) -> tuple[list[Unit], list[Unit]]:
+        """The (offloaded, local) units of `units`, which must be exactly the
+        ordered ids, each side in processing order."""
+        by_id = {u.id: u for u in units}
+        if set(by_id) != set(self.order):
+            raise InvalidParameterError("assignment does not cover the given unit set")
+        return split_by_bits([by_id[i] for i in self.order], self.bits)
 
 
-class MecPipelineTimes(NamedTuple):
-    wt3: tuple[float, ...]  # queue-for-uplink + own transmission time
-    wt4: tuple[float, ...]  # extra wait at the server behind the previous unit
-    lt: tuple[float, ...]  # completion time at the server
+def split_by_bits(
+    ordered: Sequence[Unit], bits: Sequence[int]
+) -> tuple[list[Unit], list[Unit]]:
+    """The (offloaded, local) units of a placement, each in `ordered` order."""
+    return [u for u, b in zip(ordered, bits) if b], [u for u, b in zip(ordered, bits) if not b]
 
 
-class LocalTimes(NamedTuple):
-    wt: tuple[float, ...]  # time spent waiting behind earlier local units
-    lt: tuple[float, ...]  # completion time on the device CPU
-
-
-def mec_pipeline(units_a: Sequence[Unit], r: float, mec: MecCaps) -> MecPipelineTimes:
-    """Waiting and completion times for the offloaded subsequence.
+def mec_pipeline(units_a: Sequence[Unit], r: float, mec: MecCaps) -> tuple[float, ...]:
+    """Completion times of the offloaded subsequence at the server.
 
     Uploads are served back to back, so unit j's upload finishes at the
-    running sum of transmission times (wt3). The server starts a unit at
-    max(upload finish, previous completion); wt4 is the gap between upload
-    finish and service start, zero for the first unit.
+    running sum of transmission times. The server starts a unit at
+    max(upload finish, previous completion).
     """
     if not units_a:
-        return MecPipelineTimes((), (), ())
+        return ()
     if r <= 0:
         raise InvalidParameterError(
             f"offloaded units need a positive uplink rate, got {r}"
         )
-    wt3: list[float] = []
-    wt4: list[float] = []
     lt: list[float] = []
     finish_tx = 0.0
     prev_done = 0.0
     for u in units_a:
         finish_tx += tx_latency(u.d, r)
-        start = max(finish_tx, prev_done)
-        done = start + mec_latency(u.w, mec)
-        wt3.append(finish_tx)
-        wt4.append(start - finish_tx)
-        lt.append(done)
-        prev_done = done
-    return MecPipelineTimes(tuple(wt3), tuple(wt4), tuple(lt))
+        prev_done = max(finish_tx, prev_done) + mec_latency(u.w, mec)
+        lt.append(prev_done)
+    return tuple(lt)
 
 
-def local_sequence(units_b: Sequence[Unit], f: float) -> LocalTimes:
-    """Waiting and completion times for units run sequentially on the device."""
+def local_sequence(units_b: Sequence[Unit], f: float) -> tuple[float, ...]:
+    """Completion times of units run sequentially on the device CPU."""
     if not units_b:
-        return LocalTimes((), ())
+        return ()
     if f <= 0:
         raise InvalidParameterError(f"local units need a positive clock, got {f}")
-    wt: list[float] = []
     lt: list[float] = []
     elapsed = 0.0
     for u in units_b:
-        wt.append(elapsed)
         elapsed += local_latency(u.w, f)
         lt.append(elapsed)
-    return LocalTimes(tuple(wt), tuple(lt))
+    return tuple(lt)
 
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Per-unit timing and energy for one evaluated placement.
+    """Completion times and energy of one evaluated placement.
 
     Maps are keyed by unit id. `ts` is the user's makespan (slower of the
     last local and last offloaded completion); `e_total` is the device-side
     energy: transmissions for offloaded units plus CPU energy for local ones.
     """
 
-    wt3: dict[int, float]
-    wt4: dict[int, float]
-    wt_mec: dict[int, float]
     lt_mec: dict[int, float]
-    wt_local: dict[int, float]
     lt_local: dict[int, float]
     ts: float
-    e_tx: dict[int, float]
-    e_local: dict[int, float]
     e_total: float
 
 
@@ -170,9 +147,7 @@ def evaluate(
     caps: DeviceCaps,
 ) -> ScheduleResult:
     """Score one placement at clock f and transmit power p."""
-    by_id = {u.id: u for u in units}
-    if set(by_id) != set(assignment.order):
-        raise InvalidParameterError("assignment does not cover the given unit set")
+    units_a, units_b = assignment.split(units)
     if f > caps.f_max:
         raise ConstraintViolationError(["C4"], f"f={f} exceeds f_max={caps.f_max}")
     if p > caps.p_max:
@@ -180,27 +155,13 @@ def evaluate(
     if f <= 0 or p < 0:
         raise InvalidParameterError(f"need f > 0 and p >= 0 (f={f}, p={p})")
 
-    units_a = [by_id[i] for i in assignment.mec_ids()]
-    units_b = [by_id[i] for i in assignment.local_ids()]
-
     rate = uplink_rate(ch, snr(p, ch)) if units_a else 0.0
-    pipe = mec_pipeline(units_a, rate, mec)
-    e_tx = {u.id: tx_energy(p, tx_latency(u.d, rate)) for u in units_a}
-    loc = local_sequence(units_b, f)
-    e_local = {u.id: local_energy(caps, u.w, f) for u in units_b}
-
-    last_mec = pipe.lt[-1] if pipe.lt else 0.0
-    last_local = loc.lt[-1] if loc.lt else 0.0
+    lt_mec = mec_pipeline(units_a, rate, mec)
+    lt_local = local_sequence(units_b, f)
     return ScheduleResult(
-        wt3={u.id: t for u, t in zip(units_a, pipe.wt3)},
-        wt4={u.id: t for u, t in zip(units_a, pipe.wt4)},
-        wt_mec={u.id: a + b for u, a, b in zip(units_a, pipe.wt3, pipe.wt4)},
-        lt_mec={u.id: t for u, t in zip(units_a, pipe.lt)},
-        wt_local={u.id: t for u, t in zip(units_b, loc.wt)},
-        lt_local={u.id: t for u, t in zip(units_b, loc.lt)},
-        ts=max(last_local, last_mec),
-        e_tx=e_tx,
-        e_local=e_local,
+        lt_mec={u.id: t for u, t in zip(units_a, lt_mec)},
+        lt_local={u.id: t for u, t in zip(units_b, lt_local)},
+        ts=max(lt_local[-1] if lt_local else 0.0, lt_mec[-1] if lt_mec else 0.0),
         e_total=placement_energy(units_a, units_b, f, p, ch, caps),
     )
 

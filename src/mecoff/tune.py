@@ -39,12 +39,12 @@ from .model import ChannelState, DeviceCaps, MecCaps, Unit, power_for_rate, snr,
 from .schedule import (
     Assignment,
     ScheduleResult,
-    assignment_from_bits,
     check_constraints,
     evaluate,
     local_sequence,
     mec_pipeline,
     placement_energy,
+    split_by_bits,
 )
 
 # Clock returned when nothing runs locally; local energy is zero regardless.
@@ -72,15 +72,6 @@ def tx_energy_total(d_total: float, p: float, ch: ChannelState) -> float:
     return (d_total / ch.bw) * p * (math.log(2.0) / math.log1p(snr(p, ch)))
 
 
-def _split_units(
-    assignment: Assignment, units: Iterable[Unit]
-) -> tuple[list[Unit], list[Unit]]:
-    by_id = {u.id: u for u in units}
-    local = [by_id[i] for i in assignment.local_ids()]
-    offloaded = [by_id[i] for i in assignment.mec_ids()]
-    return local, offloaded
-
-
 def _deadlines(side: Sequence[Unit], caps: DeviceCaps) -> list[float]:
     """Per-unit deadlines of one side, each capped by the user's. Completion
     times never fall along a side, so this is the same test as capping only
@@ -97,7 +88,7 @@ def _mec_meets(
 ) -> bool:
     """Whether the offloaded side meets its deadlines `dls` at power p."""
     rate = uplink_rate(ch, snr(p, ch)) if p > 0 else 0.0
-    return rate > 0 and _meets(mec_pipeline(offloaded, rate, mec).lt, dls)
+    return rate > 0 and _meets(mec_pipeline(offloaded, rate, mec), dls)
 
 
 def _nudge_up(x: float, cap: float, accepts: Callable[[float], bool]) -> float | None:
@@ -124,7 +115,7 @@ def _min_clock(local: Sequence[Unit], caps: DeviceCaps) -> float | None:
     for u, dl in zip(local, dls):
         cum_w += u.w
         f_star = max(f_star, cum_w / dl)
-    return _nudge_up(f_star, caps.f_max, lambda f: _meets(local_sequence(local, f).lt, dls))
+    return _nudge_up(f_star, caps.f_max, lambda f: _meets(local_sequence(local, f), dls))
 
 
 def _min_power(
@@ -159,7 +150,7 @@ def min_feasible_frequency(
     Returns F_MIN_FLOOR when nothing runs locally and None when even f_max
     fails or the offloaded side misses a deadline at power p.
     """
-    local, offloaded = _split_units(assignment, units)
+    offloaded, local = assignment.split(units)
     if offloaded and not _mec_meets(offloaded, _deadlines(offloaded, caps), p, ch, mec):
         return None  # no clock can repair the offloaded side
     return _min_clock(local, caps)
@@ -179,8 +170,8 @@ def min_feasible_power(
     (including a zero channel gain) or the local side misses a deadline at
     clock f.
     """
-    local, offloaded = _split_units(assignment, units)
-    if offloaded and local and not _meets(local_sequence(local, f).lt, _deadlines(local, caps)):
+    offloaded, local = assignment.split(units)
+    if offloaded and local and not _meets(local_sequence(local, f), _deadlines(local, caps)):
         return None  # no power can repair the local side
     return _min_power(offloaded, ch, mec, caps)
 
@@ -211,8 +202,7 @@ def optimize_user(
         lambda: best[0][0] if best else math.inf, tuned=tune,
     )
     for bits in leaves:
-        local = [u for u, b in zip(ordered, bits) if not b]
-        offloaded = [u for u, b in zip(ordered, bits) if b]
+        offloaded, local = split_by_bits(ordered, bits)
         f, p = caps.f_max, caps.p_max
         if tune:
             f = _min_clock(local, caps)
@@ -226,7 +216,7 @@ def optimize_user(
         return None
 
     (_, _, bits), f, p = best
-    asg = assignment_from_bits([u.id for u in ordered], bits)
+    asg = Assignment(tuple(u.id for u in ordered), bits)
     result = evaluate(asg, ordered, f, p, ch, mec, caps)
     report = check_constraints(result, ordered, caps)
     if not report.ok:

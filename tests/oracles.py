@@ -18,7 +18,7 @@ import numpy as np
 
 from mecoff.allocate import enumerate_feasible, order_units
 from mecoff.model import snr, uplink_rate
-from mecoff.schedule import assignment_from_bits, check_constraints, evaluate
+from mecoff.schedule import Assignment, check_constraints, evaluate
 from mecoff.tune import F_MIN_FLOOR, min_feasible_frequency, min_feasible_power
 
 # Bisections run to 1e-8 relative width. The absolute floors stop the loop
@@ -70,7 +70,7 @@ def brute_force_feasible(ordered_units, f, p, ch, mec, caps):
     order = tuple(u.id for u in ordered_units)
     feasible = set()
     for bits in itertools.product((0, 1), repeat=len(order)):
-        if _accepted(assignment_from_bits(order, bits), ordered_units, f, p, ch, mec, caps):
+        if _accepted(Assignment(order, bits), ordered_units, f, p, ch, mec, caps):
             feasible.add(bits)
     return feasible
 
@@ -193,7 +193,7 @@ def exhaustive_best(units, ch, mec, caps, *, tune=True):
     best_key = None
     best = None
     for bits in fs.bits:
-        asg = assignment_from_bits(fs.order, bits)
+        asg = Assignment(fs.order, bits)
         f, p = caps.f_max, caps.p_max
         if tune:
             f = min_feasible_frequency(asg, units, ch, mec, caps, p=p)

@@ -58,7 +58,7 @@ def test_criterion_1_schedule_oracle():
                  d=tx[i], w=comp[i], deadline=1e9)
             for i in range(n)
         ]
-        ours = mec_pipeline(units, 1.0, mec).lt
+        ours = mec_pipeline(units, 1.0, mec)
         oracle = des_pipeline(tx, comp)
         assert max(abs(a - b) for a, b in zip(ours, oracle)) <= 1e-9
     report("1 schedule-oracle", t0, 5.0)

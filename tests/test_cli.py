@@ -94,6 +94,15 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_method_is_reported(self, tmp_path, capsys):
+        code = main(["sweep", "--config", str(write_cfg(tmp_path)), "--methods", "M1,M3,M1",
+                     "--reps", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: methods:") and "'M1'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_is_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense = 1\n")

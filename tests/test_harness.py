@@ -34,6 +34,10 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             tiny_spec(methods=("M1", "M9"))
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigError, match="'M3'"):
+            tiny_spec(methods=("M3", "M1", "M3"))
+
     def test_zero_replications_rejected(self):
         with pytest.raises(ConfigError):
             tiny_spec(replications=0)

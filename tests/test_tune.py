@@ -14,9 +14,9 @@ from mecoff.harness import cell_seed
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
 from mecoff.scenario import ScenarioConfig, demo_config, generate
 from mecoff.schedule import (
+    Assignment,
     ConstraintReport,
     Violation,
-    assignment_from_bits,
     check_constraints,
     evaluate,
 )
@@ -86,26 +86,26 @@ class TestTxEnergyTotal:
 class TestMinFeasibleFrequency:
     def test_no_local_units_returns_floor(self):
         us = [unit(0)]
-        asg = assignment_from_bits([0], [1])
+        asg = Assignment([0], [1])
         f = min_feasible_frequency(asg, us, channel(), MEC, caps(), p=1.0)
         assert f == F_MIN_FLOOR
 
     def test_matches_closed_form(self):
         # single local unit: smallest clock is w / deadline
         us = [unit(0, w=1e8, deadline=0.1)]
-        asg = assignment_from_bits([0], [0])
+        asg = Assignment([0], [0])
         f = min_feasible_frequency(asg, us, channel(), MEC, caps(user_deadline=10.0), p=1.0)
         assert f == pytest.approx(1e9, rel=1e-6)
 
     def test_infeasible_when_cap_too_low(self):
         us = [unit(0, w=3e8, deadline=0.1)]
-        asg = assignment_from_bits([0], [0])
+        asg = Assignment([0], [0])
         assert min_feasible_frequency(asg, us, channel(), MEC, caps(f_max=2e9), p=1.0) is None
 
     def test_cumulative_constraint_drives_clock(self):
         # two local units; the second's cumulative deadline dominates
         us = [unit(0, w=1e8, deadline=0.1), unit(1, w=2e8, deadline=0.12)]
-        asg = assignment_from_bits([0, 1], [0, 0])
+        asg = Assignment([0, 1], [0, 0])
         f = min_feasible_frequency(
             asg, us, channel(), MEC, caps(user_deadline=10.0, f_max=4e9), p=1.0
         )
@@ -116,7 +116,7 @@ class TestMinFeasibleFrequency:
         for _ in range(20):
             us = [unit(i, w=float(rng.integers(4e7, 1.3e8)), deadline=0.2)
                   for i in range(3)]
-            asg = assignment_from_bits([u.id for u in order_units(us)], [0, 0, 0])
+            asg = Assignment([u.id for u in order_units(us)], [0, 0, 0])
             c = caps(user_deadline=0.5)
             f = min_feasible_frequency(asg, us, channel(), MEC, c, p=1.0)
             assert f is not None
@@ -134,14 +134,14 @@ class TestMinFeasibleFrequency:
 class TestMinFeasiblePower:
     def test_no_offloaded_units_returns_zero(self):
         us = [unit(0)]
-        asg = assignment_from_bits([0], [0])
+        asg = Assignment([0], [0])
         assert min_feasible_power(asg, us, channel(), MEC, caps(), f=2e9) == 0.0
 
     def test_matches_closed_form_single_unit(self):
         # required rate r* = d / (deadline - compute); p = (2^(r*/bw) - 1) * bw * n0 / h^2
         ch = channel(mean_snr_at_1w=1000.0)
         us = [unit(0, d=2e6, w=4e8, deadline=0.05)]
-        asg = assignment_from_bits([0], [1])
+        asg = Assignment([0], [1])
         p = min_feasible_power(asg, us, ch, MEC, caps(user_deadline=1.0), f=2e9)
         r_star = 2e6 / (0.05 - 4e8 / 20e9)
         expected = (2 ** (r_star / ch.bw) - 1) * ch.bw * ch.n0 / ch.h**2
@@ -150,12 +150,12 @@ class TestMinFeasiblePower:
     def test_infeasible_beyond_cap(self):
         ch = channel(mean_snr_at_1w=1.0)  # terrible channel
         us = [unit(0, d=5e6, w=4e8, deadline=0.03)]
-        asg = assignment_from_bits([0], [1])
+        asg = Assignment([0], [1])
         assert min_feasible_power(asg, us, ch, MEC, caps(), f=2e9) is None
 
     def test_local_side_beyond_repair(self):
         us = [unit(0, w=1e9, deadline=0.1), unit(1, d=1e5, w=1e7, deadline=0.2)]
-        asg = assignment_from_bits([0, 1], [0, 1])
+        asg = Assignment([0, 1], [0, 1])
         # local unit needs 0.5 s at f_max: no power can fix that
         assert min_feasible_power(asg, us, channel(), MEC, caps(), f=2e9) is None
 
@@ -167,7 +167,7 @@ class TestMinFeasiblePower:
             us = [unit(i, d=float(rng.integers(5e5, 3e6)),
                        w=float(rng.integers(5e7, 5e8)),
                        deadline=float(rng.choice([0.05, 0.1]))) for i in range(2)]
-            asg = assignment_from_bits([u.id for u in order_units(us)], [1, 1])
+            asg = Assignment([u.id for u in order_units(us)], [1, 1])
             c = caps(user_deadline=0.5)
             p = min_feasible_power(asg, us, ch, MEC, c, f=2e9)
             if p is None or p < 0.1:  # keep the grid step meaningful
@@ -196,7 +196,7 @@ class TestOptimizeUser:
         us = [unit(i, d=1e6, w=5e7, deadline=0.1) for i in range(3)]
         sol = optimize_user(us, ch, MEC, caps(user_deadline=0.5))
         assert sol is not None
-        assert sol.assignment.bits() == (0, 0, 0)
+        assert sol.assignment.bits == (0, 0, 0)
 
     def test_never_worse_than_untuned(self):
         rng = np.random.default_rng(12)
@@ -282,7 +282,7 @@ def tuning_cases(draw):
              deadline=draw(st.floats(0.005, 2.0)))
         for i in range(k)
     ]
-    asg = assignment_from_bits(range(k), bits)
+    asg = Assignment(range(k), bits)
     t_user = draw(st.floats(0.005, 2.0))
     if draw(st.booleans()):
         f0 = 2e9 * draw(st.floats(0.01, 1.0))
@@ -322,7 +322,7 @@ class TestClosedFormsAgainstBisection:
     def test_zero_or_vanishing_gain_cannot_offload(self, h):
         ch = ChannelState(h=h, bw=20e6, n0=1.0 / 20e6)
         us = [unit(0), unit(1)]
-        asg = assignment_from_bits([0, 1], [0, 1])
+        asg = Assignment([0, 1], [0, 1])
         assert min_feasible_power(asg, us, ch, MEC, caps(), f=2e9) is None
         assert min_feasible_frequency(asg, us, ch, MEC, caps(), p=1.0) is None
 
@@ -331,7 +331,7 @@ class TestClosedFormsAgainstBisection:
         # closed forms land on that point, and it must pass revalidation
         ch = channel()
         us = [unit(0, w=3e8), unit(1, d=2e6), unit(2, w=1e8), unit(3, d=5e5)]
-        asg = assignment_from_bits([0, 1, 2, 3], [0, 1, 0, 1])
+        asg = Assignment([0, 1, 2, 3], [0, 1, 0, 1])
         res = evaluate(asg, us, 7e8, 0.3, ch, MEC, caps(user_deadline=10.0))
         done = {**res.lt_local, **res.lt_mec}
         tight = [replace(u, deadline=done[u.id]) for u in us]
@@ -351,7 +351,7 @@ def tuned_point(asg, us, ch, mec, c):
 
 def _feasible_members(units, ch, c, mec=MEC):
     fs = enumerate_feasible(order_units(units), c.f_max, c.p_max, ch, mec, c)
-    return [assignment_from_bits(fs.order, bits) for bits in fs.bits]
+    return [Assignment(fs.order, bits) for bits in fs.bits]
 
 
 class TestEveryFeasibleLeafIsTuned:
@@ -375,7 +375,7 @@ class TestEveryFeasibleLeafIsTuned:
                 for asg in _feasible_members(user.units, ch, c, mec):
                     leaves += 1
                     point = tuned_point(asg, user.units, ch, mec, c)
-                    assert point is not None, asg.bits()
+                    assert point is not None, asg.bits
         assert leaves > 4096
 
     @settings(max_examples=100, deadline=None)
@@ -387,7 +387,7 @@ class TestEveryFeasibleLeafIsTuned:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
         us = [unit(i, d=data.draw(st.floats(1e5, 3e6)), w=data.draw(st.floats(1e6, 1e9)),
                    deadline=1e300) for i in range(k)]
-        asg = assignment_from_bits(range(k), bits)
+        asg = Assignment(range(k), bits)
         res = evaluate(asg, us, 2e9, 1.0, ch, MEC, caps(user_deadline=1e300))
         done = {**res.lt_local, **res.lt_mec}
         us = [replace(u, deadline=done[u.id]) for u in us]
@@ -428,7 +428,7 @@ def user_cases(draw):
         p0 = draw(st.floats(0.01, 1.0))
         if not any(bits) or uplink_rate(ch, snr(p0, ch)) > 0:
             loose = [replace(u, deadline=1e300) for u in us]
-            asg = assignment_from_bits(range(k), bits)
+            asg = Assignment(range(k), bits)
             res = evaluate(asg, loose, f0, p0, ch, MEC, caps(user_deadline=1e300))
             done = {**res.lt_local, **res.lt_mec}
             us = [replace(u, deadline=done[u.id]) for u in us]
@@ -438,7 +438,7 @@ def user_cases(draw):
 
 
 def solution_tuple(sol):
-    return None if sol is None else (sol.assignment.bits(), sol.f, sol.p, sol.energy)
+    return None if sol is None else (sol.assignment.bits, sol.f, sol.p, sol.energy)
 
 
 class TestLeafScorerAgainstExhaustive:
@@ -461,8 +461,8 @@ class TestLeafScorerAgainstExhaustive:
         us = [unit(0, w=1.5e8), unit(1, w=1.5e8)]
         c = caps(kappa=1e-30)
         sol = optimize_user(us, channel(), MEC, c, tune=tune)
-        assert sol.assignment.bits() == (0, 1)
-        mirror = evaluate(assignment_from_bits([0, 1], [1, 0]), us, sol.f, sol.p, channel(), MEC, c)
+        assert sol.assignment.bits == (0, 1)
+        mirror = evaluate(Assignment([0, 1], [1, 0]), us, sol.f, sol.p, channel(), MEC, c)
         assert mirror.e_total == sol.energy
         assert solution_tuple(sol) == exhaustive_best(us, channel(), MEC, c, tune=tune)
 
@@ -498,7 +498,7 @@ def pruning_cases(draw):
         bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
         if not any(bits) or gain > 0:
             loose = [replace(u, deadline=1e300) for u in us]
-            asg = assignment_from_bits(range(k), bits)
+            asg = Assignment(range(k), bits)
             res = evaluate(asg, loose, 2e9 * draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)),
                            ch, MEC, caps(user_deadline=1e300))
             done = {**res.lt_local, **res.lt_mec}
