@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MecoffError, FileNotFoundError) as exc:
+    except (MecoffError, OSError) as exc:  # OSError: unreadable config, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

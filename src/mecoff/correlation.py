@@ -13,6 +13,8 @@ Two independent mechanisms:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -21,6 +23,8 @@ import numpy as np
 
 from .errors import DegenerateSignalError, InvalidParameterError
 from .model import Unit
+
+_NORMAL_MIN = sys.float_info.min  # least positive normal double
 
 
 @dataclass(frozen=True)
@@ -68,44 +72,78 @@ class FilterDecision:
             )
 
 
+def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x - mean(x), squared norm of that): one frame's share of a Pearson
+    coefficient. The mean is sum/n, the float operations of ndarray.mean.
+
+    Raises InvalidParameterError when a sample is not finite or the squared
+    norm overflows; such a frame has no defined correlation.
+    """
+    xc = x - np.add.reduce(x) / len(x)
+    sx = float(xc @ xc)
+    if not sx < math.inf:  # nan or inf: a non-finite sample, or overflow
+        raise InvalidParameterError("correlation of a frame with a non-finite sample or norm")
+    return xc, sx
+
+
+def _pearson_centred(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """Pearson coefficient of two `_centre` results, clamped to [-1, 1].
+
+    Raises DegenerateSignalError when either input has zero variance.
+    """
+    (xc, sx), (yc, sy) = a, b
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateSignalError("zero-variance signal in correlation")
+    prod = sx * sy
+    if _NORMAL_MIN <= prod < math.inf:
+        den = math.sqrt(prod)
+    else:  # the product under- or overflowed; the split form does not
+        den = math.sqrt(sx) * math.sqrt(sy)
+    r = float(xc @ yc) / den
+    return max(-1.0, min(1.0, r))
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation coefficient, clamped to [-1, 1].
 
-    Raises DegenerateSignalError when either input has zero variance.
+    Raises DegenerateSignalError when either input has zero variance and
+    InvalidParameterError when either holds a non-finite sample.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.ndim != 1 or xa.shape != ya.shape or len(xa) < 2:
         raise InvalidParameterError("pearson needs two equal-length vectors (len >= 2)")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateSignalError("zero-variance signal in correlation")
-    r = float(xc @ yc) / float(np.sqrt(sx * sy))
-    return max(-1.0, min(1.0, r))
+    return _pearson_centred(_centre(xa), _centre(ya))
 
 
 def _check_frames(frames: Sequence[Frame]) -> None:
     epochs = [fr.epoch for fr in frames]
     if any(b <= a for a, b in zip(epochs, epochs[1:])):
         raise InvalidParameterError("frames must be ordered by strictly increasing epoch")
+    shapes = {np.shape(fr.data) for fr in frames}
+    if len(shapes) > 1 or any(len(s) != 1 for s in shapes):
+        raise InvalidParameterError("frames must be 1-D and of equal length")
 
 
 def _filter(frames: Sequence[Frame], alpha: float, beta: float) -> list[FilterDecision]:
-    """The decision loop of both policies, as described in `filter_multi`."""
+    """The decision loop of both policies, as described in `filter_multi`.
+
+    Each frame is centred once; only the reference's centred copy outlives
+    its own iteration.
+    """
     _check_frames(frames)
     out: list[FilterDecision] = []
-    ref: Frame | None = None
+    ref: tuple[np.ndarray, float] | None = None
     for fr in frames:
+        cur = _centre(np.asarray(fr.data, dtype=float))
         r = -np.inf  # the first frame and degenerate frames are processed fully
-        if ref is not None:
+        if ref is None:
+            ref_epoch = fr.epoch  # the first frame references itself
+        else:
             try:
-                r = pearson(ref.data, fr.data)
+                r = _pearson_centred(ref, cur)
             except DegenerateSignalError:
                 pass
-        ref_epoch = fr.epoch if ref is None else ref.epoch
         if r > alpha:
             out.append(FilterDecision(fr.epoch, FilterAction.SKIP, 0.0, ref_epoch))
             continue
@@ -113,7 +151,7 @@ def _filter(frames: Sequence[Frame], alpha: float, beta: float) -> list[FilterDe
             out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
         else:
             out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
-        ref = fr
+        ref, ref_epoch = cur, fr.epoch
     return out
 
 

@@ -21,7 +21,7 @@ from .allocate import enumerate_feasible  # noqa: F401
 from .correlation import Frame, dedup, filter_multi, filter_single, merge_shared_source
 from .errors import InvalidParameterError
 from .model import Unit
-from .scenario import Scenario, UserScenario
+from .scenario import Scenario
 from .schedule import evaluate  # noqa: F401
 from .tune import TunedSolution, optimize_user
 
@@ -98,16 +98,26 @@ def _filter_fraction(frames: tuple[Frame, ...], alpha: float, beta: float, mode:
     return sum(d.kept_fraction for d in decisions) / len(decisions)
 
 
-def _apply_time_filter(user: UserScenario, alpha: float, beta: float, mode: str) -> tuple[Unit, ...]:
-    """Scale every unit's bits and cycles by its task's kept fraction."""
-    fractions = {
-        task_id: _filter_fraction(frames, alpha, beta, mode)
-        for task_id, frames in user.frames.items()
-    }
-    return tuple(
-        replace(u, d=u.d * fractions.get(u.task_id, 1.0), w=u.w * fractions.get(u.task_id, 1.0))
-        for u in user.units
-    )
+def _time_filtered(scenario: Scenario, user_index: int) -> tuple[Unit, ...]:
+    """The user's units, each scaled by its task's kept fraction.
+
+    M4 and M5 filter the same frames with the same thresholds, so the result
+    is kept on the scenario: the first method to ask filters this user.
+    """
+    memo = scenario._filtered_units
+    units = memo.get(user_index)
+    if units is None:
+        cfg = scenario.config
+        user = scenario.users[user_index]
+        fractions = {
+            task_id: _filter_fraction(frames, cfg.alpha, cfg.beta, cfg.filter_mode)
+            for task_id, frames in user.frames.items()
+        }
+        units = memo[user_index] = tuple(
+            replace(u, d=u.d * fractions.get(u.task_id, 1.0), w=u.w * fractions.get(u.task_id, 1.0))
+            for u in user.units
+        )
+    return units
 
 
 def run_method(method_id: str, scenario: Scenario, user_index: int) -> MethodResult:
@@ -116,12 +126,11 @@ def run_method(method_id: str, scenario: Scenario, user_index: int) -> MethodRes
     if method is None:
         raise InvalidParameterError(f"unknown method {method_id!r}, expected one of {METHOD_IDS}")
     user = scenario.users[user_index]
-    cfg = scenario.config
     total_tasks = user.n_tasks
 
     work = user.units
     if method.time_filter:
-        work = _apply_time_filter(user, cfg.alpha, cfg.beta, cfg.filter_mode)
+        work = _time_filtered(scenario, user_index)
     if method.atomic:
         work = _atomic_tasks(work)
     if method.reduce:

@@ -10,7 +10,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -140,6 +140,11 @@ class Scenario:
     users: tuple[UserScenario, ...]
     caps: DeviceCaps
     mec: MecCaps
+    # user index -> time-filtered units, filled by the first method that
+    # filters that user (see methods._time_filtered)
+    _filtered_units: dict[int, tuple[Unit, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 def noise_density(snr_db: float, bw: float, p_max: float) -> float:
@@ -170,18 +175,22 @@ def _exact_corr_partner(rng: np.random.Generator, x: np.ndarray, rho: float) -> 
     """A vector whose sample Pearson correlation with x is exactly rho.
 
     Mixes the standardized x with noise orthogonalized against it, so the
-    realized coefficient is rho up to floating-point rounding.
+    realized coefficient is rho up to floating-point rounding. The noise is
+    worked on in place; each step rounds as its out-of-place form would.
     """
-    xc = x - x.mean()
-    xn = xc / np.linalg.norm(xc)
+    n = len(x)
+    xn = x - np.add.reduce(x) / n  # what x.mean() computes
+    xn /= math.sqrt(xn @ xn)
     for _ in range(16):
-        z = rng.standard_normal(len(x))
-        zc = z - z.mean()
-        zc = zc - (zc @ xn) * xn
-        nz = np.linalg.norm(zc)
+        z = rng.standard_normal(n)
+        z -= np.add.reduce(z) / n
+        z -= (z @ xn) * xn
+        nz = math.sqrt(z @ z)
         if nz > 1e-9:
-            zn = zc / nz
-            return rho * xn + np.sqrt(max(0.0, 1.0 - rho * rho)) * zn
+            z /= nz
+            z *= math.sqrt(max(0.0, 1.0 - rho * rho))
+            z += rho * xn
+            return z
     raise RuntimeError("could not draw noise independent of the reference frame")
 
 
@@ -398,8 +407,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     keys keep their defaults. Tuples are comma separated; '#' starts a
     comment."""
     overrides = {}
-    with open(path) as fh:  # Path.read_text grows peak RSS over many calls
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:  # Path.read_text grows peak RSS over many calls
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

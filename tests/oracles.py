@@ -6,6 +6,9 @@ plain exhaustive filtering, the tuner oracle is a dense grid search, the
 clock/power minimizers are bisections on the evaluate/check_constraints
 verdict instead of closed forms, and the leaf scorer oracle builds, tunes,
 evaluates and revalidates every feasible leaf through the public API.
+The frame references are the straightforward forms of the frame path:
+synthesis through `mean`/`norm` temporaries, and a filter that recomputes
+a Pearson coefficient, through `mean`, for every (reference, frame) pair.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from collections import deque
 import numpy as np
 
 from mecoff.allocate import enumerate_feasible, order_units
+from mecoff.correlation import FilterAction, FilterDecision
+from mecoff.errors import DegenerateSignalError, InvalidParameterError
 from mecoff.model import snr, uplink_rate
 from mecoff.schedule import Assignment, check_constraints, evaluate
 from mecoff.tune import F_MIN_FLOOR, min_feasible_frequency, min_feasible_power
@@ -209,3 +214,78 @@ def exhaustive_best(units, ch, mec, caps, *, tune=True):
             best_key = key
             best = (bits, f, p, result.e_total)
     return best
+
+
+def reference_corr_partner(rng, x, rho):
+    """A vector whose sample Pearson correlation with x is rho; the same RNG
+    calls in the same order as mecoff.scenario._exact_corr_partner."""
+    xc = x - x.mean()
+    xn = xc / np.linalg.norm(xc)
+    for _ in range(16):
+        z = rng.standard_normal(len(x))
+        zc = z - z.mean()
+        zc = zc - (zc @ xn) * xn
+        nz = np.linalg.norm(zc)
+        if nz > 1e-9:
+            zn = zc / nz
+            return rho * xn + np.sqrt(max(0.0, 1.0 - rho * rho)) * zn
+    raise RuntimeError("could not draw noise independent of the reference frame")
+
+
+def reference_synthesize_frames(rng, n_frames, length, rho_lo, rho_hi):
+    """Counterpart of mecoff.scenario.synthesize_frames."""
+    frames = [rng.standard_normal(length)]
+    targets = []
+    for _ in range(n_frames - 1):
+        rho = float(rng.uniform(rho_lo, rho_hi))
+        frames.append(reference_corr_partner(rng, frames[-1], rho))
+        targets.append(rho)
+    return frames, targets
+
+
+def reference_pearson(x, y):
+    """Pearson coefficient of two equal-length 1-D arrays, clamped to [-1, 1],
+    centring both on every call through `mean`. Where sx * sy leaves the
+    normal range the denominator is sqrt(sx) * sqrt(sy). Raises
+    DegenerateSignalError when either input has zero variance."""
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx = float(xc @ xc)
+    sy = float(yc @ yc)
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateSignalError("zero-variance signal in correlation")
+    prod = sx * sy
+    if np.finfo(float).tiny <= prod < np.inf:
+        den = float(np.sqrt(prod))
+    else:
+        den = float(np.sqrt(sx)) * float(np.sqrt(sy))
+    r = float(xc @ yc) / den
+    return max(-1.0, min(1.0, r))
+
+
+def reference_filter(frames, alpha, beta):
+    """The running-reference filter of mecoff.correlation, calling
+    `reference_pearson` on the raw data of every (reference, frame) pair;
+    beta = alpha gives the single-threshold policy."""
+    epochs = [fr.epoch for fr in frames]
+    if any(b <= a for a, b in zip(epochs, epochs[1:])):
+        raise InvalidParameterError("frames must be ordered by strictly increasing epoch")
+    out = []
+    ref = None
+    for fr in frames:
+        r = -np.inf
+        if ref is not None:
+            try:
+                r = reference_pearson(ref.data, fr.data)
+            except DegenerateSignalError:
+                pass
+        ref_epoch = fr.epoch if ref is None else ref.epoch
+        if r > alpha:
+            out.append(FilterDecision(fr.epoch, FilterAction.SKIP, 0.0, ref_epoch))
+            continue
+        if r > beta:
+            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
+        else:
+            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
+        ref = fr
+    return out

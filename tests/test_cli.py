@@ -191,3 +191,26 @@ class TestNonFiniteAndExtremeInputs:
                      "--methods", "M1,M5", "--reps", "1", "--out", str(tmp_path / "o")])
         assert code == 0
         assert [r.snr_db for r in load_rows(tmp_path / "o" / "results.csv")] == [float(snr)] * 2
+
+
+class TestFileSystemAndEncodingErrors:
+    @pytest.mark.parametrize("case", ["sweep-out-is-file", "demo-out-is-file",
+                                      "config-is-directory", "config-not-utf8"])
+    def test_reported_without_traceback(self, tmp_path, capsys, case):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {
+            "sweep-out-is-file": ["sweep", "--config", str(write_cfg(tmp_path)),
+                                  "--methods", "M1", "--reps", "1", "--out", str(taken)],
+            "demo-out-is-file": ["demo", "--reps", "1", "--out", str(taken)],
+            "config-is-directory": ["validate-config", "--config", str(tmp_path)],
+            "config-not-utf8": ["validate-config", "--config", str(taken)],
+        }[case]
+        if case == "config-not-utf8":
+            taken.write_bytes(b"alpha = 0.9 # \xff\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        if case == "config-not-utf8":
+            assert str(taken) in err and "UTF-8" in err

@@ -15,6 +15,8 @@ from mecoff.correlation import (
 )
 from mecoff.errors import DegenerateSignalError, InvalidParameterError
 from mecoff.model import Unit
+from mecoff.scenario import synthesize_frames
+from oracles import reference_filter
 
 FULL = FilterAction.PROCESS_FULL
 DIFF = FilterAction.PROCESS_DIFF
@@ -55,6 +57,13 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e150])
+    def test_variance_product_out_of_range(self, scale):
+        # sx * sy underflows to 0 or overflows to inf; r is scale-free
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(8), rng.standard_normal(8)
+        assert pearson(scale * x, scale * y) == pytest.approx(pearson(x, y), abs=1e-12)
 
     def test_matches_numpy_on_random_vectors(self):
         rng = np.random.default_rng(7)
@@ -150,6 +159,17 @@ class TestFilterMulti:
         with pytest.raises(InvalidParameterError):
             filter_multi(self.make([0.5]), alpha=0.5, beta=0.9)
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]],
+        [[1.0, 2.0, 3.0], [1.0, 2.0]],
+        [[[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]]],
+    ], ids=["longer", "shorter", "2-D"])
+    def test_frames_of_another_shape_rejected(self, rows):
+        with pytest.raises(InvalidParameterError):
+            filter_multi(frames_from(rows), alpha=0.9, beta=0.5)
+        with pytest.raises(InvalidParameterError):
+            filter_single(frames_from(rows), alpha=0.9)
+
     @given(st.lists(st.floats(-0.5, 0.999), min_size=1, max_size=8), st.integers(0, 1000))
     @settings(max_examples=100, deadline=None)
     def test_never_keeps_more_than_single(self, rhos, seed):
@@ -157,6 +177,71 @@ class TestFilterMulti:
         multi = filter_multi(frames, alpha=0.9, beta=0.5)
         single = filter_single(frames, alpha=0.9)
         assert sum(d.kept_fraction for d in multi) <= sum(d.kept_fraction for d in single) + 1e-12
+
+
+NON_FINITE_ROWS = {
+    "nan": [np.nan, 1.0, 2.0],
+    "inf": [np.inf, 1.0, 2.0],
+    "-inf": [1.0, -np.inf, 2.0],
+    "overflow": [1e200, -1e200, 0.0],  # finite samples, squared norm overflows
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the nan/overflow first
+class TestNonFiniteFrames:
+    @pytest.mark.parametrize("row", NON_FINITE_ROWS.values(), ids=NON_FINITE_ROWS)
+    def test_pearson_rejects(self, row):
+        with pytest.raises(InvalidParameterError):
+            pearson(row, [1.0, 2.0, 3.0])
+        with pytest.raises(InvalidParameterError):
+            pearson([1.0, 2.0, 3.0], row)
+
+    @pytest.mark.parametrize("row", NON_FINITE_ROWS.values(), ids=NON_FINITE_ROWS)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_filters_reject(self, row, position):
+        rows = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.5]]
+        rows[position] = row
+        with pytest.raises(InvalidParameterError):
+            filter_multi(frames_from(rows), alpha=0.9, beta=0.5)
+        with pytest.raises(InvalidParameterError):
+            filter_single(frames_from(rows), alpha=0.9)
+
+    def test_constant_frame_is_still_degenerate(self):
+        with pytest.raises(DegenerateSignalError):
+            pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+        decisions = filter_multi(frames_from([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]]), 0.9, 0.5)
+        assert [d.action for d in decisions] == [FULL, FULL]
+
+
+@st.composite
+def frame_sequences(draw):
+    """Synthesized frames, some replaced by constant or repeated frames."""
+    length = draw(st.integers(3, 512))
+    rho = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    rho_lo, rho_hi = sorted((draw(rho), draw(rho)))
+    n = draw(st.integers(1, 8))
+    rows, _ = synthesize_frames(np.random.default_rng(draw(st.integers(0, 2**32))), n, length,
+                                rho_lo, rho_hi)
+    for i in range(n):
+        kind = draw(st.sampled_from(["synth", "synth", "constant", "repeat"]))
+        if kind == "constant":
+            rows[i] = np.full(length, draw(st.floats(-10.0, 10.0)))
+        elif kind == "repeat" and i:
+            rows[i] = rows[i - 1].copy()
+    return [Frame(0, i, x) for i, x in enumerate(rows)]
+
+
+class TestFilterMatchesReference:
+    """Centring each frame once gives the decisions of recomputing `pearson`
+    for every pair, kept fractions included, bit for bit."""
+
+    @given(frame_sequences(), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+    @settings(max_examples=150, deadline=None)
+    def test_multi_and_single(self, frames, a, b):
+        beta, alpha = sorted((a, b))
+        if beta < alpha:
+            assert filter_multi(frames, alpha, beta) == reference_filter(frames, alpha, beta)
+        assert filter_single(frames, alpha) == reference_filter(frames, alpha, alpha)
 
 
 def make_unit(uid, type_id, source_id, d=1e6, w=2e8, deadline=0.1, user=0, task=0):

@@ -2,8 +2,11 @@ from dataclasses import replace
 
 import pytest
 
+import mecoff.methods
+from mecoff.cli import main
+from mecoff.harness import SweepSpec, cell_seed, run_sweep
 from mecoff.methods import METHOD_IDS, run_method
-from mecoff.scenario import demo_config, generate
+from mecoff.scenario import demo_config, generate, save_config
 
 
 def run_all(scenario, user=0):
@@ -133,3 +136,34 @@ class TestMethodSemantics:
         sc = generate(loose_config(), snr_db=20.0, seed=0)
         with pytest.raises(Exception):
             run_method("M6", sc, 0)
+
+
+class TestFilterSharedByM4AndM5:
+    @pytest.mark.parametrize("mode, name", [("multi", "filter_multi"), ("single", "filter_single")])
+    def test_filter_runs_once_per_cell_and_user(self, monkeypatch, mode, name):
+        calls = []
+        real = getattr(mecoff.methods, name)
+        monkeypatch.setattr(mecoff.methods, name, lambda *a: calls.append(1) or real(*a))
+        cfg = replace(demo_config(seed=3), filter_mode=mode)
+        spec = SweepSpec(config=cfg, methods=("M4", "M5"), snr_points_db=(20.0, 40.0),
+                         replications=3, seed=3)
+        run_sweep(spec)
+        expected = 0
+        for si, snr_db in enumerate(spec.snr_points):
+            for ri in range(spec.replications):
+                sc = generate(cfg, snr_db, cell_seed(spec.seed, si, ri))
+                expected += sum(len(f) >= 2 for user in sc.users for f in user.frames.values())
+        assert len(calls) == expected > 0
+
+    def test_m5_row_does_not_depend_on_m4(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        save_config(demo_config(), cfg)
+        rows = {}
+        for methods in ("M5", "M4,M5", "M5,M4"):
+            out = tmp_path / methods.replace(",", "_")
+            assert main(["sweep", "--config", str(cfg), "--methods", methods, "--snr", "10,40",
+                         "--reps", "3", "--seed", "5", "--out", str(out)]) == 0
+            lines = (out / "results.csv").read_text().splitlines()
+            rows[methods] = [line for line in lines if line.split(",")[1] == "M5"]
+        assert len(rows["M5"]) == 2
+        assert rows["M5"] == rows["M4,M5"] == rows["M5,M4"]

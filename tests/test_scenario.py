@@ -1,11 +1,15 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecoff.correlation import pearson
 from mecoff.errors import ConfigError
+from mecoff.methods import run_method
 from mecoff.model import snr
 from mecoff.scenario import (
     Scenario,
@@ -18,6 +22,7 @@ from mecoff.scenario import (
     save_config,
     synthesize_frames,
 )
+from oracles import reference_synthesize_frames
 
 
 def small_config(**overrides):
@@ -78,11 +83,42 @@ class TestSynthesizeFrames:
             assert pearson(x, y) == pytest.approx(rho, abs=0.05)  # exact by construction
             assert pearson(x, y) == pytest.approx(rho, abs=1e-9)
 
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 6),
+        st.integers(3, 512),
+        st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+        st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bit_for_bit(self, seed, n_frames, length, r1, r2):
+        rho_lo, rho_hi = sorted((r1, r2))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        frames, targets = synthesize_frames(rng, n_frames, length, rho_lo, rho_hi)
+        ref_frames, ref_targets = reference_synthesize_frames(
+            ref_rng, n_frames, length, rho_lo, rho_hi
+        )
+        assert [f.tobytes() for f in frames] == [f.tobytes() for f in ref_frames]
+        assert targets == ref_targets
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestGenerate:
     def test_bit_identical_for_same_seed(self):
         cfg = small_config()
         assert scenarios_equal(generate(cfg, 20.0, 7), generate(cfg, 20.0, 7))
+
+    def test_filter_memo_leaves_equality_alone(self):
+        cfg = small_config()
+        a, b = generate(cfg, 20.0, 7), generate(cfg, 20.0, 7)
+        for u in range(len(a.users)):
+            run_method("M4", a, u)
+        assert a._filtered_units and not b._filtered_units
+        assert scenarios_equal(a, b)
+        assert (a.snr_db, a.caps, a.mec, a.config) == (b.snr_db, b.caps, b.mec, b.config)
+        assert "_filtered_units" not in repr(a)
+        fresh = dataclasses.replace(a)  # same users, empty memo
+        assert not fresh._filtered_units and fresh == a
 
     def test_different_seeds_differ(self):
         cfg = small_config()
