@@ -8,7 +8,7 @@ Two independent mechanisms:
 * task domain -- units that are exact copies of each other (same type and
   source) are processed once with the result shared, and distinct units
   reading the same source are merged so the shared input is transmitted
-  only once.
+  only once. Both are one group-and-fold, `fold_units`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,14 +75,22 @@ class FilterDecision:
 def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
     """(x - mean(x), squared norm of that): one frame's share of a Pearson
     coefficient. The mean is sum/n, the float operations of ndarray.mean.
+    A frame whose samples are all equal gets a squared norm of exactly 0.
 
     Raises InvalidParameterError when a sample is not finite or the squared
     norm overflows; such a frame has no defined correlation.
     """
-    xc = x - np.add.reduce(x) / len(x)
+    n = len(x)
+    mean = float(np.add.reduce(x) / n)
+    xc = x - mean
     sx = float(xc @ xc)
     if not sx < math.inf:  # nan or inf: a non-finite sample, or overflow
         raise InvalidParameterError("correlation of a frame with a non-finite sample or norm")
+    # a constant frame whose mean does not round back exactly centres to
+    # residues of a few ulps of the mean, not zeros: test any sx that small
+    slack = 2.0 * n * sys.float_info.epsilon * mean
+    if sx <= max(n * slack * slack, _NORMAL_MIN) and x.min() == x.max():
+        sx = 0.0
     return xc, sx
 
 
@@ -182,6 +190,34 @@ def filter_multi(frames: Sequence[Frame], alpha: float, beta: float) -> list[Fil
     return _filter(frames, alpha, beta)
 
 
+def fold_units(
+    units: Iterable[Unit],
+    key: Callable[[Unit], Hashable],
+    d_of: Callable[[Iterable[float]], float],
+    w_of: Callable[[Iterable[float]], float],
+) -> list[tuple[Unit, list[Unit]]]:
+    """Group units by `key` and fold each group into its first member in
+    (user, id) order, whose id it keeps; groups come out in that order too.
+    A folded unit takes d_of the members' d, w_of their w and the tightest
+    deadline; a lone member comes back unchanged. Returns (folded unit,
+    members) per group."""
+    groups: dict[Hashable, list[Unit]] = {}
+    for u in sorted(units, key=lambda u: (u.user, u.id)):
+        groups.setdefault(key(u), []).append(u)
+    out = []
+    for members in groups.values():
+        first = members[0]
+        if len(members) > 1:
+            first = replace(
+                first,
+                d=d_of(m.d for m in members),
+                w=w_of(m.w for m in members),
+                deadline=min(m.deadline for m in members),
+            )
+        out.append((first, members))
+    return out
+
+
 def dedup(units: Iterable[Unit]) -> tuple[tuple[Unit, ...], dict[int, int]]:
     """Collapse each class of identical units to one representative.
 
@@ -191,25 +227,9 @@ def dedup(units: Iterable[Unit]) -> tuple[tuple[Unit, ...], dict[int, int]]:
     share map points each removed unit at the representative whose result it
     reuses.
     """
-    groups: dict[tuple[int, int, int], list[Unit]] = {}
-    for u in sorted(units, key=lambda u: (u.user, u.id)):
-        groups.setdefault((u.user, u.type_id, u.source_id), []).append(u)
-    kept: list[Unit] = []
-    share: dict[int, int] = {}
-    for members in groups.values():
-        rep = members[0]
-        if len(members) > 1:
-            rep = replace(
-                rep,
-                d=max(m.d for m in members),
-                w=max(m.w for m in members),
-                deadline=min(m.deadline for m in members),
-            )
-            for m in members[1:]:
-                share[m.id] = rep.id
-        kept.append(rep)
-    kept.sort(key=lambda u: (u.user, u.id))
-    return tuple(kept), share
+    groups = fold_units(units, lambda u: (u.user, u.type_id, u.source_id), max, max)
+    share = {m.id: rep.id for rep, members in groups for m in members[1:]}
+    return tuple(rep for rep, _ in groups), share
 
 
 def merge_shared_source(
@@ -223,24 +243,6 @@ def merge_shared_source(
     the members would have cost. The returned map lists the member ids
     folded into each super-unit.
     """
-    groups: dict[tuple[int, int], list[Unit]] = {}
-    for u in sorted(units, key=lambda u: (u.user, u.id)):
-        groups.setdefault((u.user, u.source_id), []).append(u)
-    out: list[Unit] = []
-    merged: dict[int, tuple[int, ...]] = {}
-    for members in groups.values():
-        if len(members) == 1:
-            out.append(members[0])
-            continue
-        rep = members[0]
-        super_unit = replace(
-            rep,
-            d=max(m.d for m in members),
-            w=sum(m.w for m in members),
-            deadline=min(m.deadline for m in members),
-        )
-        merged[super_unit.id] = tuple(m.id for m in members)
-        out.append(super_unit)
-    out.sort(key=lambda u: (u.user, u.id))
-    return tuple(out), merged
-
+    groups = fold_units(units, lambda u: (u.user, u.source_id), max, sum)
+    merged = {rep.id: tuple(m.id for m in ms) for rep, ms in groups if len(ms) > 1}
+    return tuple(rep for rep, _ in groups), merged

@@ -10,7 +10,7 @@ fed cell by cell as the sweep runs, which keeps reruns byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +18,6 @@ import numpy as np
 from .errors import ConfigError
 from .methods import METHOD_IDS, MethodResult, run_method
 from .scenario import Scenario, ScenarioConfig, generate, noise_density
-
-CSV_HEADER = "snr_db,method,mean_energy_j,failure_probability,mean_ts_s,replications"
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -69,6 +66,9 @@ class SweepRow:
     failure_probability: float
     mean_ts_s: float
     replications: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def cell_seed(seed: int, snr_index: int, replication: int) -> np.random.SeedSequence:
@@ -130,12 +130,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def render_csv(rows: list[SweepRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.snr_db!r},{r.method},{r.mean_energy_j!r},"
-            f"{r.failure_probability!r},{r.mean_ts_s!r},{r.replications}"
-        )
+    lines = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in rows]  # str(float) is repr
     return "\n".join(lines) + "\n"
 
 
@@ -179,17 +174,7 @@ def emit(rows: list[SweepRow], fmt: str, out_dir: str | Path) -> list[Path]:
         written.append(path)
     elif fmt == "json":
         path = out / "results.json"
-        payload = [
-            {
-                "snr_db": r.snr_db,
-                "method": r.method,
-                "mean_energy_j": r.mean_energy_j,
-                "failure_probability": r.failure_probability,
-                "mean_ts_s": r.mean_ts_s,
-                "replications": r.replications,
-            }
-            for r in rows
-        ]
+        payload = [asdict(r) for r in rows]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         written.append(path)
     elif fmt == "plotdata":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 # Not called here, but bench/layers.py traces these two names at this binding.
 from .allocate import enumerate_feasible  # noqa: F401
-from .correlation import Frame, dedup, filter_multi, filter_single, merge_shared_source
+from .correlation import Frame, dedup, filter_multi, filter_single, fold_units, merge_shared_source
 from .errors import InvalidParameterError
 from .model import Unit
 from .scenario import Scenario
@@ -66,25 +66,10 @@ def _atomic_tasks(units: tuple[Unit, ...]) -> tuple[Unit, ...]:
     """Collapse each task to a single unit: summed bits and cycles, the
     tightest member deadline, the smallest member id. type/source ids are
     synthetic negatives so atoms never correlate."""
-    by_task: dict[int, list[Unit]] = {}
-    for u in units:
-        by_task.setdefault(u.task_id, []).append(u)
-    atoms = []
-    for task_id in sorted(by_task):
-        members = by_task[task_id]
-        atoms.append(
-            Unit(
-                id=min(m.id for m in members),
-                user=members[0].user,
-                task_id=task_id,
-                type_id=-1 - task_id,
-                source_id=-1 - task_id,
-                d=sum(m.d for m in members),
-                w=sum(m.w for m in members),
-                deadline=min(m.deadline for m in members),
-            )
-        )
-    return tuple(atoms)
+    return tuple(
+        replace(atom, type_id=-1 - atom.task_id, source_id=-1 - atom.task_id)
+        for atom, _ in fold_units(units, lambda u: (u.user, u.task_id), sum, sum)
+    )
 
 
 def _filter_fraction(frames: tuple[Frame, ...], alpha: float, beta: float, mode: str) -> float:

@@ -10,7 +10,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -63,23 +63,20 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        def pair(name, lo_ok=0.0):
-            v = getattr(self, name)
-            if len(v) != 2 or not lo_ok < v[0] <= v[1] < math.inf:
-                raise ConfigError(f"{name}: need a finite positive (lo, hi) range, got {v}")
-
         if self.n_users < 1:
             raise ConfigError(f"n_users: must be >= 1, got {self.n_users}")
-        pair("tasks_per_user")
-        pair("units_per_task")
-        pair("task_size")
-        pair("cycle_density")
+        for name in ("tasks_per_user", "units_per_task", "task_size", "cycle_density"):
+            v = getattr(self, name)
+            if len(v) != 2 or not 0.0 < v[0] <= v[1] < math.inf:
+                raise ConfigError(f"{name}: need a finite positive (lo, hi) range, got {v}")
         n_tasks, n_units = self.tasks_per_user[1], self.units_per_task[1]
         if n_tasks * n_units > MAX_TREE_DEPTH:
             raise ConfigError(
                 f"tasks_per_user x units_per_task: {n_tasks} x {n_units} units "
                 f"exceed the tree depth limit {MAX_TREE_DEPTH}"
             )
+        if int(self.task_size[1]) + 1 > 2**63:  # generate's rng.integers(lo, hi + 1) is int64
+            raise ConfigError(f"task_size: {self.task_size[1]} bits exceed the int64 range")
         if int(self.task_size[0]) < n_units:
             raise ConfigError(
                 f"task_size: a task of {int(self.task_size[0])} bits cannot be split "
@@ -357,49 +354,31 @@ def demo_config(seed: int = 42) -> ScenarioConfig:
 
 # --- flat key = value config files -------------------------------------------
 
-def _parse_int_pair(v: str) -> tuple[int, int]:
-    parts = [int(float(x)) for x in v.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected 'lo,hi'")
-    return (parts[0], parts[1])
-
-
-def _parse_float_pair(v: str) -> tuple[float, float]:
-    parts = [float(x) for x in v.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected 'lo,hi'")
-    return (parts[0], parts[1])
-
-
 def _parse_float_tuple(v: str) -> tuple[float, ...]:
     return tuple(float(x) for x in v.split(","))
 
 
-_FIELD_PARSERS = {
-    "n_users": int,
-    "tasks_per_user": _parse_int_pair,
-    "units_per_task": _parse_int_pair,
-    "task_size": _parse_float_pair,
-    "cycle_density": _parse_float_pair,
-    "cycle_model": str,
-    "bw": float,
-    "f_max": float,
-    "f_mec": float,
-    "kappa": float,
-    "deadlines": _parse_float_tuple,
-    "user_deadline": float,
-    "target_snr_db": _parse_float_tuple,
-    "p_max": float,
-    "frames_per_task": int,
-    "frame_len": int,
-    "frame_rho": _parse_float_pair,
-    "dup_unit_fraction": float,
-    "shared_source_fraction": float,
-    "alpha": float,
-    "beta": float,
-    "filter_mode": str,
-    "seed": int,
+def _parse_float_pair(v: str) -> tuple[float, float]:
+    parts = _parse_float_tuple(v)
+    if len(parts) != 2:
+        raise ValueError("expected 'lo,hi'")
+    return parts
+
+
+def _parse_int_pair(v: str) -> tuple[int, int]:
+    return tuple(int(x) for x in _parse_float_pair(v))
+
+
+# parser per field annotation, a string under `from __future__ import annotations`
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, int]": _parse_int_pair,
+    "tuple[float, float]": _parse_float_pair,
+    "tuple[float, ...]": _parse_float_tuple,
 }
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ScenarioConfig)}
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -51,12 +51,6 @@ class Assignment:
         if any(b not in (0, 1) for b in self.bits):
             raise InvalidParameterError(f"assignment bits must be 0 or 1, got {self.bits}")
 
-    def mec_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, b in zip(self.order, self.bits) if b)
-
-    def local_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, b in zip(self.order, self.bits) if not b)
-
     def split(self, units: Iterable[Unit]) -> tuple[list[Unit], list[Unit]]:
         """The (offloaded, local) units of `units`, which must be exactly the
         ordered ids, each side in processing order."""

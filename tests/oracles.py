@@ -9,6 +9,8 @@ evaluates and revalidates every feasible leaf through the public API.
 The frame references are the straightforward forms of the frame path:
 synthesis through `mean`/`norm` temporaries, and a filter that recomputes
 a Pearson coefficient, through `mean`, for every (reference, frame) pair.
+The task-domain references are the three group-and-fold loops (dedup,
+shared-source merge, M1/M2's task atoms), one hand-written loop each.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from dataclasses import replace
+from typing import Iterable
 
 import numpy as np
 
 from mecoff.allocate import enumerate_feasible, order_units
 from mecoff.correlation import FilterAction, FilterDecision
 from mecoff.errors import DegenerateSignalError, InvalidParameterError
-from mecoff.model import snr, uplink_rate
+from mecoff.model import Unit, snr, uplink_rate
 from mecoff.schedule import Assignment, check_constraints, evaluate
 from mecoff.tune import F_MIN_FLOOR, min_feasible_frequency, min_feasible_power
 
@@ -141,7 +145,7 @@ def grid_search_best(units, ch, mec, caps, n_f=200, n_p=200):
 
 def _accepted(assignment, units, f, p, ch, mec, caps):
     """Whether the placement passes every deadline check at (f, p)."""
-    if assignment.mec_ids() and uplink_rate(ch, snr(p, ch)) <= 0:
+    if any(assignment.bits) and uplink_rate(ch, snr(p, ch)) <= 0:
         return False
     return check_constraints(evaluate(assignment, units, f, p, ch, mec, caps), units, caps).ok
 
@@ -166,7 +170,7 @@ def _bisect(feasible, hi, abs_tol):
 def bisect_min_frequency(assignment, units, ch, mec, caps, p):
     """Bisection counterpart of mecoff.tune.min_feasible_frequency."""
     units = tuple(units)
-    if not assignment.local_ids():
+    if all(assignment.bits):
         feasible = _accepted(assignment, units, caps.f_max, p, ch, mec, caps)
         return F_MIN_FLOOR if feasible else None
     return _bisect(
@@ -177,7 +181,7 @@ def bisect_min_frequency(assignment, units, ch, mec, caps, p):
 def bisect_min_power(assignment, units, ch, mec, caps, f):
     """Bisection counterpart of mecoff.tune.min_feasible_power."""
     units = tuple(units)
-    if not assignment.mec_ids():
+    if not any(assignment.bits):
         return 0.0
     return _bisect(
         lambda p: _accepted(assignment, units, f, p, ch, mec, caps), caps.p_max, _ABS_P
@@ -247,12 +251,13 @@ def reference_pearson(x, y):
     """Pearson coefficient of two equal-length 1-D arrays, clamped to [-1, 1],
     centring both on every call through `mean`. Where sx * sy leaves the
     normal range the denominator is sqrt(sx) * sqrt(sy). Raises
-    DegenerateSignalError when either input has zero variance."""
+    DegenerateSignalError when either input is constant or has zero
+    variance."""
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc)
     sy = float(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
+    if x.min() == x.max() or y.min() == y.max() or sx == 0.0 or sy == 0.0:
         raise DegenerateSignalError("zero-variance signal in correlation")
     prod = sx * sy
     if np.finfo(float).tiny <= prod < np.inf:
@@ -289,3 +294,95 @@ def reference_filter(frames, alpha, beta):
             out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
         ref = fr
     return out
+
+
+# One hand-written group-and-fold loop per task-domain reduction, so that
+# mecoff.correlation.fold_units is not checked against itself.
+
+
+def reference_dedup(units: Iterable[Unit]) -> tuple[tuple[Unit, ...], dict[int, int]]:
+    """Collapse each class of identical units to one representative.
+
+    The lowest-id member survives; its deadline becomes the minimum over the
+    class so every sharer's requirement is still honoured, and its (d, w)
+    the maximum so the fullest requested variant is computed. The returned
+    share map points each removed unit at the representative whose result it
+    reuses.
+    """
+    groups: dict[tuple[int, int, int], list[Unit]] = {}
+    for u in sorted(units, key=lambda u: (u.user, u.id)):
+        groups.setdefault((u.user, u.type_id, u.source_id), []).append(u)
+    kept: list[Unit] = []
+    share: dict[int, int] = {}
+    for members in groups.values():
+        rep = members[0]
+        if len(members) > 1:
+            rep = replace(
+                rep,
+                d=max(m.d for m in members),
+                w=max(m.w for m in members),
+                deadline=min(m.deadline for m in members),
+            )
+            for m in members[1:]:
+                share[m.id] = rep.id
+        kept.append(rep)
+    kept.sort(key=lambda u: (u.user, u.id))
+    return tuple(kept), share
+
+
+def reference_merge_shared_source(
+    units: Iterable[Unit],
+) -> tuple[tuple[Unit, ...], dict[int, tuple[int, ...]]]:
+    """Fuse units that read the same source into one super-unit.
+
+    Expects dedup to have run already. The super-unit transmits the shared
+    input once (d = max over members), computes everything (w = sum) and
+    inherits the tightest deadline, so placing it locally costs exactly what
+    the members would have cost. The returned map lists the member ids
+    folded into each super-unit.
+    """
+    groups: dict[tuple[int, int], list[Unit]] = {}
+    for u in sorted(units, key=lambda u: (u.user, u.id)):
+        groups.setdefault((u.user, u.source_id), []).append(u)
+    out: list[Unit] = []
+    merged: dict[int, tuple[int, ...]] = {}
+    for members in groups.values():
+        if len(members) == 1:
+            out.append(members[0])
+            continue
+        rep = members[0]
+        super_unit = replace(
+            rep,
+            d=max(m.d for m in members),
+            w=sum(m.w for m in members),
+            deadline=min(m.deadline for m in members),
+        )
+        merged[super_unit.id] = tuple(m.id for m in members)
+        out.append(super_unit)
+    out.sort(key=lambda u: (u.user, u.id))
+    return tuple(out), merged
+
+
+def reference_atomic_tasks(units: tuple[Unit, ...]) -> tuple[Unit, ...]:
+    """Collapse each task to a single unit: summed bits and cycles, the
+    tightest member deadline, the smallest member id. type/source ids are
+    synthetic negatives so atoms never correlate."""
+    by_task: dict[int, list[Unit]] = {}
+    for u in units:
+        by_task.setdefault(u.task_id, []).append(u)
+    atoms = []
+    for task_id in sorted(by_task):
+        members = by_task[task_id]
+        atoms.append(
+            Unit(
+                id=min(m.id for m in members),
+                user=members[0].user,
+                task_id=task_id,
+                type_id=-1 - task_id,
+                source_id=-1 - task_id,
+                d=sum(m.d for m in members),
+                w=sum(m.w for m in members),
+                deadline=min(m.deadline for m in members),
+            )
+        )
+    return tuple(atoms)

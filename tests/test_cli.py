@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import mecoff.cli
@@ -191,6 +194,26 @@ class TestNonFiniteAndExtremeInputs:
                      "--methods", "M1,M5", "--reps", "1", "--out", str(tmp_path / "o")])
         assert code == 0
         assert [r.snr_db for r in load_rows(tmp_path / "o" / "results.csv")] == [float(snr)] * 2
+
+
+    @pytest.mark.parametrize("hi", [1e19, 9.3e18, 2.0**63])
+    def test_task_size_beyond_int64_is_reported(self, tmp_path, capsys, hi):
+        # generate draws a task size below int(hi) + 1 as an int64
+        path = write_cfg(tmp_path, replace(demo_config(), task_size=(hi, hi)))
+        for argv in (["validate-config", "--config", str(path)],
+                     ["sweep", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: task_size")
+            assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_task_size_just_below_int64_runs(self, tmp_path):
+        hi = float(np.nextafter(2.0**63, 0))
+        path = write_cfg(tmp_path, replace(demo_config(), task_size=(hi, hi)))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--reps", "1", "--out", str(out)]) == 0
+        assert len(load_rows(out / "results.csv")) == 25
 
 
 class TestFileSystemAndEncodingErrors:

@@ -14,9 +14,15 @@ from mecoff.correlation import (
     pearson,
 )
 from mecoff.errors import DegenerateSignalError, InvalidParameterError
+from mecoff.methods import _atomic_tasks
 from mecoff.model import Unit
 from mecoff.scenario import synthesize_frames
-from oracles import reference_filter
+from oracles import (
+    reference_atomic_tasks,
+    reference_dedup,
+    reference_filter,
+    reference_merge_shared_source,
+)
 
 FULL = FilterAction.PROCESS_FULL
 DIFF = FilterAction.PROCESS_DIFF
@@ -213,6 +219,38 @@ class TestNonFiniteFrames:
         assert [d.action for d in decisions] == [FULL, FULL]
 
 
+CONSTANTS = pytest.mark.parametrize("c", [0.1, 1 / 3, 1.1])
+LENGTHS = pytest.mark.parametrize("n", [3, 7, 256])
+
+
+class TestConstantFrames:
+    """A frame whose samples are all equal has zero variance, also when its
+    mean does not round back to the sample value and centring leaves
+    residues of a few ulps."""
+
+    @CONSTANTS
+    @LENGTHS
+    def test_pearson_raises(self, c, n):
+        with pytest.raises(DegenerateSignalError):
+            pearson([c] * n, [c] * n)
+        with pytest.raises(DegenerateSignalError):
+            pearson(np.arange(n, dtype=float), [c] * n)
+
+    @CONSTANTS
+    @LENGTHS
+    def test_filters_process_the_second_frame_fully(self, c, n):
+        frames = frames_from([[c] * n, [c] * n])
+        assert [d.action for d in filter_multi(frames, 0.9, 0.5)] == [FULL, FULL]
+        assert [d.action for d in filter_single(frames, 0.9)] == [FULL, FULL]
+
+    @pytest.mark.parametrize("c", [0.1, 1 / 3, 1.1, 4.0])
+    @LENGTHS
+    def test_one_sample_one_ulp_away_is_not_degenerate(self, c, n):
+        x = np.full(n, c)
+        x[n // 2] = np.nextafter(c, np.inf)
+        assert pearson(x, x) == pytest.approx(1.0)
+
+
 @st.composite
 def frame_sequences(draw):
     """Synthesized frames, some replaced by constant or repeated frames."""
@@ -322,3 +360,38 @@ class TestMergeSharedSource:
             assert sum(u.d for u in reduced) <= sum(u.d for u in units)
             assert sum(u.w for u in reduced) <= sum(u.w for u in units)
 
+
+@st.composite
+def unit_lists(draw):
+    """Units of 1-3 users in shuffled order. Ids restart per user; type,
+    source and task ids collide often; deadlines tie and differ."""
+    units = []
+    for user in range(draw(st.integers(1, 3))):
+        for uid in range(draw(st.integers(1, 8))):
+            units.append(Unit(
+                id=uid, user=user, task_id=draw(st.integers(0, 2)),
+                type_id=draw(st.integers(0, 2)), source_id=draw(st.integers(0, 2)),
+                d=draw(st.floats(1.0, 1e7)), w=draw(st.floats(1.0, 1e9)),
+                deadline=draw(st.sampled_from([0.05, 0.1, 0.2])),
+            ))
+    return draw(st.permutations(units))
+
+
+class TestReductionsMatchReference:
+    """The three reductions, each a call of `fold_units`, return what their
+    hand-written loops in tests/oracles.py return."""
+
+    @given(unit_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_dedup_merge_and_task_atoms(self, units):
+        assert dedup(units) == reference_dedup(units)
+        assert merge_shared_source(units) == reference_merge_shared_source(units)
+        deduped, _ = dedup(units)
+        assert merge_shared_source(deduped) == reference_merge_shared_source(deduped)
+        for user in {u.user for u in units}:
+            own = tuple(u for u in units if u.user == user)
+            # the reference sums in input order; run_method passes id order
+            in_id_order = tuple(sorted(own, key=lambda u: u.id))
+            assert sorted(_atomic_tasks(own), key=lambda u: u.id) == sorted(
+                reference_atomic_tasks(in_id_order), key=lambda u: u.id
+            )

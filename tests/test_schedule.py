@@ -208,8 +208,11 @@ class TestAssignment:
     def test_bit_round_trip(self):
         asg = Assignment((5, 3, 9), (1, 0, 1))
         assert asg.bits == (1, 0, 1)
-        assert asg.mec_ids() == (5, 9)
-        assert asg.local_ids() == (3,)
+        units = [Unit(id=i, user=0, task_id=0, type_id=i, source_id=i, d=1.0, w=1.0, deadline=1.0)
+                 for i in (9, 5, 3)]
+        offloaded, local = asg.split(units)  # each side in processing order
+        assert [u.id for u in offloaded] == [5, 9]
+        assert [u.id for u in local] == [3]
         assert Assignment([5, 3, 9], [1, 0, 1]) == asg  # sequences are stored as tuples
 
 
