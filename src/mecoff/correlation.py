@@ -75,16 +75,18 @@ class FilterDecision:
 def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
     """(x - mean(x), squared norm of that): one frame's share of a Pearson
     coefficient. The mean is sum/n, the float operations of ndarray.mean.
-    A frame whose samples are all equal gets a squared norm of exactly 0.
+    A frame whose finite samples are all equal gets a squared norm of exactly 0.
 
     Raises InvalidParameterError when a sample is not finite or the squared
-    norm overflows; such a frame has no defined correlation.
+    norm of a non-constant frame overflows; such a frame has no correlation.
     """
     n = len(x)
     mean = float(np.add.reduce(x) / n)
     xc = x - mean
     sx = float(xc @ xc)
     if not sx < math.inf:  # nan or inf: a non-finite sample, or overflow
+        if math.isfinite(x[0]) and x.min() == x.max():  # constant, but its sum overflowed
+            return np.zeros_like(x), 0.0
         raise InvalidParameterError("correlation of a frame with a non-finite sample or norm")
     # a constant frame whose mean does not round back exactly centres to
     # residues of a few ulps of the mean, not zeros: test any sx that small

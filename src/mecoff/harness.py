@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .methods import METHOD_IDS, MethodResult, run_method
-from .scenario import Scenario, ScenarioConfig, generate, noise_density
+from .scenario import _TYPE_PARSERS, Scenario, ScenarioConfig, generate, noise_density
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -68,7 +68,8 @@ class SweepRow:
     replications: int
 
 
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+_ROW_FIELDS = fields(SweepRow)
+CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
 
 
 def cell_seed(seed: int, snr_index: int, replication: int) -> np.random.SeedSequence:
@@ -140,18 +141,11 @@ def load_rows(path: str | Path) -> list[SweepRow]:
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep results file")
     rows = []
-    for line in lines[1:]:
-        snr, method, energy, fail, ts, reps = line.split(",")
-        rows.append(
-            SweepRow(
-                snr_db=float(snr),
-                method=method,
-                mean_energy_j=float(energy),
-                failure_probability=float(fail),
-                mean_ts_s=float(ts),
-                replications=int(reps),
-            )
-        )
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(_ROW_FIELDS):
+            raise ConfigError(f"{path}:{lineno}: expected {len(_ROW_FIELDS)} fields, got {line!r}")
+        rows.append(SweepRow(*(_TYPE_PARSERS[f.type](c) for f, c in zip(_ROW_FIELDS, cells))))
     return rows
 
 

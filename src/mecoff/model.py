@@ -1,4 +1,4 @@
-"""Physical cost model: SNR, uplink rate, per-unit latencies and energies.
+"""Physical cost model: domain types, SNR and the uplink rate and its inverse.
 
 Everything here is a pure function of explicit inputs over small frozen
 dataclasses, so every value is unit-testable and safe to call from any
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstraintViolationError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def uplink_rate(ch: ChannelState, snr_value: float) -> float:
 
     Computed through log1p, which keeps full precision at small snr where
     1 + snr would round away most of its digits. Returns 0 for snr 0; a zero
-    rate must be rejected before any division (see tx_latency).
+    rate must be rejected before any division (see `schedule.mec_pipeline`).
     """
     if snr_value < 0:
         raise InvalidParameterError(f"snr must be >= 0, got {snr_value}")
@@ -116,35 +116,3 @@ def power_for_rate(ch: ChannelState, r: float) -> float:
         return math.inf
     return math.expm1(x) / gain
 
-
-def local_latency(w: float, f: float) -> float:
-    """Seconds to run w cycles at clock f."""
-    if f <= 0:
-        raise InvalidParameterError(f"clock frequency must be positive, got {f}")
-    return w / f
-
-
-def local_energy(caps: DeviceCaps, w: float, f: float) -> float:
-    """Joules to run w cycles at clock f: kappa * w * f^2."""
-    if f > caps.f_max:
-        raise ConstraintViolationError(
-            ["C4"], f"clock {f} exceeds device cap f_max={caps.f_max}"
-        )
-    return caps.kappa * w * f * f
-
-
-def tx_latency(d: float, r: float) -> float:
-    """Seconds to push d bits through an uplink running at r bits/s."""
-    if r <= 0:
-        raise InvalidParameterError(f"transmission requires a positive rate, got {r}")
-    return d / r
-
-
-def tx_energy(p: float, t: float) -> float:
-    """Joules spent transmitting for t seconds at power p."""
-    return p * t
-
-
-def mec_latency(w: float, mec: MecCaps) -> float:
-    """Seconds for the edge server to run w cycles."""
-    return w / mec.f_mec

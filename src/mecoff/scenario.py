@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -163,7 +163,6 @@ def sample_channel(rng, target_snr_db: float, bw: float, p_max: float) -> Channe
     The amplitude h is Rayleigh with E[h^2] = 1; the noise density is scaled
     so the mean SNR at full power equals the target (`noise_density`).
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     h = float(rng.rayleigh(scale=np.sqrt(0.5)))
     return ChannelState(h=h, bw=bw, n0=noise_density(target_snr_db, bw, p_max))
 
@@ -206,7 +205,7 @@ def synthesize_frames(
     frames = [rng.standard_normal(length)]
     targets: list[float] = []
     for _ in range(n_frames - 1):
-        rho = float(rng.uniform(rho_lo, rho_hi))
+        rho = float(rng.uniform(rho_lo, rho_hi + 0.0))  # numpy rejects the range (0.0, -0.0)
         frames.append(_exact_corr_partner(rng, frames[-1], rho))
         targets.append(rho)
     return frames, targets
@@ -255,7 +254,6 @@ def generate(
         n_tasks = int(rng.integers(config.tasks_per_user[0], config.tasks_per_user[1] + 1))
         units: list[Unit] = []
         frames: dict[int, tuple[Frame, ...]] = {}
-        uid = 0
         next_type = 0
         next_source = 0
         for task in range(n_tasks):
@@ -264,46 +262,40 @@ def generate(
             n_units = int(
                 rng.integers(config.units_per_task[0], config.units_per_task[1] + 1)
             )
-            if config.cycle_model == "per_bit":
-                density = float(rng.uniform(*config.cycle_density))
-                cycles_of = lambda d: d * density
-            else:
-                total_cycles = float(rng.uniform(*config.cycle_density))
-                cycles_of = lambda d: total_cycles * d / size
+            density = float(rng.uniform(*config.cycle_density))
 
-            # optionally tie this task's first unit to an earlier unit;
-            # needs >= 2 units so the drawn task size is still met exactly
-            plant: tuple[str, Unit] | None = None
+            # optionally tie this task's first unit to an earlier unit `ref`, as
+            # an exact copy or as a reader of its source; needs >= 2 units so
+            # the drawn task size is still met exactly
+            ref: Unit | None = None
+            copy = False
             if units and n_units >= 2:
                 roll = float(rng.random())
-                if roll < config.dup_unit_fraction:
-                    plant = ("dup", units[int(rng.integers(len(units)))])
-                elif roll < config.dup_unit_fraction + config.shared_source_fraction:
-                    plant = ("shared", units[int(rng.integers(len(units)))])
-                if plant is not None and plant[1].d > size - (n_units - 1):
-                    plant = None  # the copied unit would not fit in this task
+                if roll < config.dup_unit_fraction + config.shared_source_fraction:
+                    ref = units[int(rng.integers(len(units)))]
+                    copy = roll < config.dup_unit_fraction
+                    if ref.d > size - (n_units - 1):
+                        ref = None  # the planted unit would not fit in this task
 
-            if plant is not None:
-                rest = _split_size(rng, size - int(plant[1].d), n_units - 1) if n_units > 1 else []
-                sizes = [int(plant[1].d)] + rest
+            if ref is not None:
+                sizes = [int(ref.d)] + _split_size(rng, size - int(ref.d), n_units - 1)
             else:
                 sizes = _split_size(rng, size, n_units)
 
             for j, d_j in enumerate(sizes):
-                if j == 0 and plant is not None:
-                    kind, ref = plant
-                    if kind == "dup":
-                        type_id, source_id, w_j = ref.type_id, ref.source_id, ref.w
-                    else:  # shared source, own computation
-                        type_id, source_id, w_j = next_type, ref.source_id, cycles_of(d_j)
-                        next_type += 1
+                planted = j == 0 and ref is not None
+                if planted and copy:  # same computation on the same source
+                    type_id, source_id, w_j = ref.type_id, ref.source_id, ref.w
                 else:
-                    type_id, source_id, w_j = next_type, next_source, cycles_of(d_j)
-                    next_type += 1
-                    next_source += 1
+                    type_id, next_type = next_type, next_type + 1
+                    if planted:  # shared source, own computation
+                        source_id = ref.source_id
+                    else:
+                        source_id, next_source = next_source, next_source + 1
+                    w_j = d_j * density if config.cycle_model == "per_bit" else density * d_j / size
                 units.append(
                     Unit(
-                        id=uid,
+                        id=len(units),
                         user=user,
                         task_id=task,
                         type_id=type_id,
@@ -313,7 +305,6 @@ def generate(
                         deadline=deadline,
                     )
                 )
-                uid += 1
 
             data, _ = synthesize_frames(
                 rng, config.frames_per_task, config.frame_len, *config.frame_rho

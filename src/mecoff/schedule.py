@@ -5,7 +5,9 @@ transmissions back to back, feeding one edge server that also works
 strictly FIFO. The stages overlap across units but each stage handles a
 single unit at a time. Local units run sequentially on the device CPU,
 concurrently with the pipeline; the user finishes when the slower of the
-two sides finishes.
+two sides finishes. A unit takes w/f seconds and kappa*w*f^2 joules on the
+device; offloaded, d/r seconds and p*d/r joules to upload, then w/f_mec
+seconds on the server.
 """
 
 from __future__ import annotations
@@ -14,19 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConstraintViolationError, InvalidParameterError
-from .model import (
-    ChannelState,
-    DeviceCaps,
-    MecCaps,
-    Unit,
-    local_energy,
-    local_latency,
-    mec_latency,
-    snr,
-    tx_energy,
-    tx_latency,
-    uplink_rate,
-)
+from .model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
 
 
 @dataclass(frozen=True)
@@ -84,8 +74,8 @@ def mec_pipeline(units_a: Sequence[Unit], r: float, mec: MecCaps) -> tuple[float
     finish_tx = 0.0
     prev_done = 0.0
     for u in units_a:
-        finish_tx += tx_latency(u.d, r)
-        prev_done = max(finish_tx, prev_done) + mec_latency(u.w, mec)
+        finish_tx += u.d / r
+        prev_done = max(finish_tx, prev_done) + u.w / mec.f_mec
         lt.append(prev_done)
     return tuple(lt)
 
@@ -99,7 +89,7 @@ def local_sequence(units_b: Sequence[Unit], f: float) -> tuple[float, ...]:
     lt: list[float] = []
     elapsed = 0.0
     for u in units_b:
-        elapsed += local_latency(u.w, f)
+        elapsed += u.w / f
         lt.append(elapsed)
     return tuple(lt)
 
@@ -127,8 +117,10 @@ def placement_energy(
     units' transmissions in order, then the local units' CPU energy in order.
     This one sum is both `evaluate`'s e_total and the leaf scorer's key."""
     rate = uplink_rate(ch, snr(p, ch)) if units_a else 0.0
-    e_tx = sum(tx_energy(p, tx_latency(u.d, rate)) for u in units_a)
-    return e_tx + sum(local_energy(caps, u.w, f) for u in units_b)
+    if units_a and rate <= 0:
+        raise InvalidParameterError(f"offloaded units need a positive uplink rate, got {rate}")
+    e_tx = sum(p * (u.d / rate) for u in units_a)
+    return e_tx + sum(caps.kappa * u.w * f * f for u in units_b)
 
 
 def evaluate(

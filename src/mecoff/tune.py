@@ -47,7 +47,7 @@ from .schedule import (
     split_by_bits,
 )
 
-# Clock returned when nothing runs locally; local energy is zero regardless.
+# Clock for an empty local side (f_max if lower); local energy is zero regardless.
 F_MIN_FLOOR = 1e6
 
 
@@ -106,9 +106,9 @@ def _nudge_up(x: float, cap: float, accepts: Callable[[float], bool]) -> float |
 
 def _min_clock(local: Sequence[Unit], caps: DeviceCaps) -> float | None:
     """Closed-form f* of the local side, nudged until `local_sequence` accepts
-    it; F_MIN_FLOOR for an empty side, None when even f_max fails."""
+    it; min(F_MIN_FLOOR, f_max) for an empty side, None when even f_max fails."""
     if not local:
-        return F_MIN_FLOOR
+        return min(F_MIN_FLOOR, caps.f_max)
     dls = _deadlines(local, caps)
     cum_w = 0.0
     f_star = 0.0
@@ -147,8 +147,8 @@ def min_feasible_frequency(
 ) -> float | None:
     """Smallest clock in (0, f_max] keeping the placement feasible at power p.
 
-    Returns F_MIN_FLOOR when nothing runs locally and None when even f_max
-    fails or the offloaded side misses a deadline at power p.
+    Returns min(F_MIN_FLOOR, f_max) when nothing runs locally and None when
+    even f_max fails or the offloaded side misses a deadline at power p.
     """
     offloaded, local = assignment.split(units)
     if offloaded and not _mec_meets(offloaded, _deadlines(offloaded, caps), p, ch, mec):

@@ -11,6 +11,8 @@ synthesis through `mean`/`norm` temporaries, and a filter that recomputes
 a Pearson coefficient, through `mean`, for every (reference, frame) pair.
 The task-domain references are the three group-and-fold loops (dedup,
 shared-source merge, M1/M2's task atoms), one hand-written loop each.
+The scenario reference is the plain form of `generate`: the planted unit
+as a tagged (kind, unit) pair and each unit's cycles from a closure.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from typing import Iterable
 import numpy as np
 
 from mecoff.allocate import enumerate_feasible, order_units
-from mecoff.correlation import FilterAction, FilterDecision
-from mecoff.errors import DegenerateSignalError, InvalidParameterError
-from mecoff.model import Unit, snr, uplink_rate
+from mecoff.correlation import FilterAction, FilterDecision, Frame
+from mecoff.errors import ConfigError, DegenerateSignalError, InvalidParameterError
+from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
+from mecoff.scenario import Scenario, ScenarioConfig, UserScenario, noise_density
 from mecoff.schedule import Assignment, check_constraints, evaluate
 from mecoff.tune import F_MIN_FLOOR, min_feasible_frequency, min_feasible_power
 
@@ -172,7 +175,7 @@ def bisect_min_frequency(assignment, units, ch, mec, caps, p):
     units = tuple(units)
     if all(assignment.bits):
         feasible = _accepted(assignment, units, caps.f_max, p, ch, mec, caps)
-        return F_MIN_FLOOR if feasible else None
+        return min(F_MIN_FLOOR, caps.f_max) if feasible else None
     return _bisect(
         lambda f: _accepted(assignment, units, f, p, ch, mec, caps), caps.f_max, _ABS_F
     )
@@ -241,7 +244,7 @@ def reference_synthesize_frames(rng, n_frames, length, rho_lo, rho_hi):
     frames = [rng.standard_normal(length)]
     targets = []
     for _ in range(n_frames - 1):
-        rho = float(rng.uniform(rho_lo, rho_hi))
+        rho = float(rng.uniform(rho_lo, rho_hi + 0.0))  # -0.0 + 0.0 is 0.0
         frames.append(reference_corr_partner(rng, frames[-1], rho))
         targets.append(rho)
     return frames, targets
@@ -386,3 +389,131 @@ def reference_atomic_tasks(units: tuple[Unit, ...]) -> tuple[Unit, ...]:
             )
         )
     return tuple(atoms)
+
+
+def _reference_channel(rng, target_snr_db, bw, p_max):
+    """Counterpart of mecoff.scenario.sample_channel."""
+    h = float(rng.rayleigh(scale=np.sqrt(0.5)))
+    return ChannelState(h=h, bw=bw, n0=noise_density(target_snr_db, bw, p_max))
+
+
+def _reference_split_size(rng: np.random.Generator, total: int, n: int) -> list[int]:
+    """n integer parts >= 1 summing to total exactly."""
+    if n == 1:
+        return [total]
+    props = rng.random(n) + 0.15
+    parts = [max(1, int(total * p / props.sum())) for p in props[:-1]]
+    last = total - sum(parts)
+    while last < 1:  # give back from the largest part
+        i = max(range(n - 1), key=lambda j: parts[j])
+        take = min(parts[i] - 1, 1 - last)
+        if take <= 0:
+            raise ConfigError(f"task of {total} bits cannot be split into {n} units")
+        parts[i] -= take
+        last += take
+    return parts + [last]
+
+
+def reference_generate(
+    config: ScenarioConfig,
+    snr_db: float | None = None,
+    seed=None,
+) -> Scenario:
+    """Draw one scenario. snr_db defaults to the first configured setpoint,
+    seed to config.seed; seed may be an int or a numpy SeedSequence.
+
+    Counterpart of mecoff.scenario.generate: its straightforward form, with
+    the plant as a tagged (kind, unit) pair and cycles from a closure.
+    """
+    config.validate()
+    if snr_db is None:
+        snr_db = config.target_snr_db[0]
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+
+    caps = DeviceCaps(
+        f_max=config.f_max,
+        p_max=config.p_max,
+        kappa=config.kappa,
+        user_deadline=config.user_deadline,
+    )
+    mec = MecCaps(f_mec=config.f_mec)
+
+    users: list[UserScenario] = []
+    for user in range(config.n_users):
+        channel = _reference_channel(rng, snr_db, config.bw, config.p_max)
+        n_tasks = int(rng.integers(config.tasks_per_user[0], config.tasks_per_user[1] + 1))
+        units: list[Unit] = []
+        frames: dict[int, tuple[Frame, ...]] = {}
+        uid = 0
+        next_type = 0
+        next_source = 0
+        for task in range(n_tasks):
+            size = int(rng.integers(int(config.task_size[0]), int(config.task_size[1]) + 1))
+            deadline = float(config.deadlines[int(rng.integers(len(config.deadlines)))])
+            n_units = int(
+                rng.integers(config.units_per_task[0], config.units_per_task[1] + 1)
+            )
+            if config.cycle_model == "per_bit":
+                density = float(rng.uniform(*config.cycle_density))
+                cycles_of = lambda d: d * density
+            else:
+                total_cycles = float(rng.uniform(*config.cycle_density))
+                cycles_of = lambda d: total_cycles * d / size
+
+            # optionally tie this task's first unit to an earlier unit;
+            # needs >= 2 units so the drawn task size is still met exactly
+            plant: tuple[str, Unit] | None = None
+            if units and n_units >= 2:
+                roll = float(rng.random())
+                if roll < config.dup_unit_fraction:
+                    plant = ("dup", units[int(rng.integers(len(units)))])
+                elif roll < config.dup_unit_fraction + config.shared_source_fraction:
+                    plant = ("shared", units[int(rng.integers(len(units)))])
+                if plant is not None and plant[1].d > size - (n_units - 1):
+                    plant = None  # the copied unit would not fit in this task
+
+            if plant is not None:
+                rest = (
+                    _reference_split_size(rng, size - int(plant[1].d), n_units - 1)
+                    if n_units > 1 else []
+                )
+                sizes = [int(plant[1].d)] + rest
+            else:
+                sizes = _reference_split_size(rng, size, n_units)
+
+            for j, d_j in enumerate(sizes):
+                if j == 0 and plant is not None:
+                    kind, ref = plant
+                    if kind == "dup":
+                        type_id, source_id, w_j = ref.type_id, ref.source_id, ref.w
+                    else:  # shared source, own computation
+                        type_id, source_id, w_j = next_type, ref.source_id, cycles_of(d_j)
+                        next_type += 1
+                else:
+                    type_id, source_id, w_j = next_type, next_source, cycles_of(d_j)
+                    next_type += 1
+                    next_source += 1
+                units.append(
+                    Unit(
+                        id=uid,
+                        user=user,
+                        task_id=task,
+                        type_id=type_id,
+                        source_id=source_id,
+                        d=float(d_j),
+                        w=float(w_j),
+                        deadline=deadline,
+                    )
+                )
+                uid += 1
+
+            data, _ = reference_synthesize_frames(
+                rng, config.frames_per_task, config.frame_len, *config.frame_rho
+            )
+            frames[task] = tuple(
+                Frame(task_label=task, epoch=i, data=arr) for i, arr in enumerate(data)
+            )
+        users.append(
+            UserScenario(units=tuple(units), frames=frames, channel=channel, n_tasks=n_tasks)
+        )
+    return Scenario(config=config, snr_db=float(snr_db), users=tuple(users), caps=caps, mec=mec)

@@ -196,6 +196,25 @@ class TestNonFiniteAndExtremeInputs:
         assert [r.snr_db for r in load_rows(tmp_path / "o" / "results.csv")] == [float(snr)] * 2
 
 
+    def test_signed_zero_rho_range_runs(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, replace(demo_config(), frame_rho=(0.0, -0.0)))
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--reps", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f_max", [5e5, 1e-300])
+    def test_clock_cap_below_the_floor_runs(self, tmp_path, capsys, f_max):
+        # a cap below F_MIN_FLOOR: all-offload winners must still run at a
+        # clock within it
+        path = write_cfg(tmp_path, replace(demo_config(), f_max=f_max))
+        out = tmp_path / "o"
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--reps", "3", "--out", str(out)]) == 0
+        assert "error:" not in capsys.readouterr().err
+        rows = load_rows(out / "results.csv")
+        assert len(rows) == 25 and min(r.failure_probability for r in rows) < 1.0
+
     @pytest.mark.parametrize("hi", [1e19, 9.3e18, 2.0**63])
     def test_task_size_beyond_int64_is_reported(self, tmp_path, capsys, hi):
         # generate draws a task size below int(hi) + 1 as an int64

@@ -250,6 +250,24 @@ class TestConstantFrames:
         x[n // 2] = np.nextafter(c, np.inf)
         assert pearson(x, x) == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum overflows
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    @pytest.mark.parametrize("n", [3, 256])
+    def test_huge_constant_is_degenerate_not_non_finite(self, c, n):
+        with pytest.raises(DegenerateSignalError):
+            pearson([c] * n, np.arange(n, dtype=float))
+        with pytest.raises(DegenerateSignalError):
+            pearson(np.arange(n, dtype=float), [c] * n)
+        frames = frames_from([[c] * n, [c] * n])
+        assert [d.action for d in filter_multi(frames, 0.9, 0.5)] == [FULL, FULL]
+        assert [d.action for d in filter_single(frames, 0.9)] == [FULL, FULL]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", [np.inf, -np.inf])
+    def test_infinite_constant_is_still_non_finite(self, c):
+        with pytest.raises(InvalidParameterError):
+            pearson([c] * 3, [1.0, 2.0, 3.0])
+
 
 @st.composite
 def frame_sequences(draw):

@@ -93,6 +93,16 @@ class TestEmit:
         assert path.read_text().splitlines()[0] == CSV_HEADER
         assert load_rows(path) == rows
 
+    @pytest.mark.parametrize("edit", ["drop", "add"])
+    def test_row_with_the_wrong_field_count_rejected(self, tmp_path, edit):
+        (path,) = emit(run_sweep(tiny_spec()), "csv", tmp_path)
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        lines[1] = ",".join(cells[:-1] if edit == "drop" else cells + ["7"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="expected 6 fields"):
+            load_rows(path)
+
     def test_json_shape(self, tmp_path):
         import json
 

@@ -11,15 +11,18 @@ from mecoff.model import (
     DeviceCaps,
     MecCaps,
     Unit,
-    local_energy,
-    local_latency,
-    mec_latency,
     power_for_rate,
     snr,
-    tx_energy,
-    tx_latency,
     uplink_rate,
 )
+from mecoff.schedule import (
+    Assignment,
+    evaluate,
+    local_sequence,
+    mec_pipeline,
+    placement_energy,
+)
+from mecoff.tune import tx_energy_total
 
 
 def make_channel(h=1.0, bw=1.0, n0=1.0):
@@ -85,78 +88,124 @@ class TestPowerForRate:
         assert power_for_rate(make_channel(bw=20e6), math.inf) == math.inf
 
 
+def unit(i=0, d=1e6, w=1e8):
+    return Unit(id=i, user=0, task_id=0, type_id=i, source_id=i, d=d, w=w, deadline=1.0)
+
+
+FAST_MEC = MecCaps(1e30)  # server time negligible next to any upload here
+
+
 class TestLocalCompute:
+    """A local unit takes w/f seconds and kappa*w*f^2 joules
+    (`local_sequence`, `placement_energy`, `evaluate`)."""
+
     def test_quotient(self):
-        assert local_latency(2e8, 2e9) == pytest.approx(0.1)
+        assert local_sequence([unit(w=2e8)], 2e9) == pytest.approx((0.1,))
 
     def test_identity(self):
-        assert local_latency(3.7e9, 3.7e9) == 1.0
+        assert local_sequence([unit(w=3.7e9)], 3.7e9) == (1.0,)
 
     def test_direct(self):
-        assert local_latency(1.875e8, 2e9) == pytest.approx(0.09375)
+        assert local_sequence([unit(w=1.875e8)], 2e9) == pytest.approx((0.09375,))
 
     def test_rejects_nonpositive_clock(self):
-        with pytest.raises(InvalidParameterError):
-            local_latency(1e8, 0.0)
+        for f in (0.0, -1e9):
+            with pytest.raises(InvalidParameterError):
+                local_sequence([unit()], f)
 
     @given(st.floats(1.0, 1e12), st.floats(1e3, 1e10))
     def test_round_trip(self, w, f):
-        assert local_latency(w, f) * f == pytest.approx(w, rel=1e-12)
+        (done,) = local_sequence([unit(w=w)], f)
+        assert done * f == pytest.approx(w, rel=1e-12)
 
     def test_energy_kappa_scale(self):
-        assert local_energy(CAPS, 1e6, 1.0) == pytest.approx(1e-5)
+        e = placement_energy([], [unit(w=1e6)], 1.0, 0.0, make_channel(), CAPS)
+        assert e == pytest.approx(1e-5)
 
     def test_energy_direct(self):
-        assert local_energy(CAPS, 2e8, 2e9) == pytest.approx(8e15)
+        e = placement_energy([], [unit(w=2e8)], 2e9, 0.0, make_channel(), CAPS)
+        assert e == pytest.approx(8e15)
 
     def test_energy_increasing_in_clock(self):
         fs = np.linspace(1e6, 2e9, 50)
-        es = [local_energy(CAPS, 1e8, f) for f in fs]
+        es = [placement_energy([], [unit()], f, 0.0, make_channel(), CAPS) for f in fs]
         assert all(b > a for a, b in zip(es, es[1:]))
 
     def test_energy_rejects_overclock(self):
         with pytest.raises(ConstraintViolationError) as err:
-            local_energy(CAPS, 1e8, CAPS.f_max * 1.01)
+            evaluate(
+                Assignment([0], [0]), [unit()], CAPS.f_max * 1.01, 0.0,
+                make_channel(), MecCaps(2e10), CAPS,
+            )
         assert err.value.constraints == ("C4",)
 
 
 class TestTransmission:
+    """An offloaded unit uploads for d/r seconds at p*d/r joules
+    (`mec_pipeline`, `placement_energy`)."""
+
     def test_latency_identity(self):
-        assert tx_latency(1e6, 1e6) == 1.0
+        # one second up, one second on the server
+        assert mec_pipeline([unit(d=1e6, w=2e10)], 1e6, MecCaps(2e10)) == (2.0,)
 
     def test_latency_chained(self):
         rate = uplink_rate(make_channel(bw=20e6), 10.0)
-        assert tx_latency(1e6, rate) == pytest.approx(0.0144533, rel=1e-5)
+        (done,) = mec_pipeline([unit(d=1e6)], rate, FAST_MEC)
+        assert done == pytest.approx(0.0144533, rel=1e-5)
 
     def test_latency_direct(self):
-        assert tx_latency(2e6, 4e7) == pytest.approx(0.05)
+        assert mec_pipeline([unit(d=2e6)], 4e7, FAST_MEC) == pytest.approx((0.05,))
 
     def test_latency_rejects_zero_rate(self):
-        with pytest.raises(InvalidParameterError):
-            tx_latency(1e6, 0.0)
+        for r in (0.0, -1e6):
+            with pytest.raises(InvalidParameterError):
+                mec_pipeline([unit()], r, FAST_MEC)
 
     def test_latency_decreasing_in_rate(self):
         rs = np.linspace(1e6, 1e9, 40)
-        ts = [tx_latency(5e6, r) for r in rs]
+        ts = [mec_pipeline([unit(d=5e6)], r, FAST_MEC)[0] for r in rs]
         assert all(b < a for a, b in zip(ts, ts[1:]))
 
     def test_energy_zero_power(self):
-        assert tx_energy(0.0, 123.0) == 0.0
+        # nothing offloaded costs no radio energy, whatever the power; an
+        # offloaded unit at zero power (zero rate) is rejected, not divided by
+        ch = make_channel(bw=20e6)
+        assert placement_energy([], [], 1e9, 0.0, ch, CAPS) == 0.0
+        with pytest.raises(InvalidParameterError):
+            placement_energy([unit()], [], 1e9, 0.0, ch, CAPS)
+        with pytest.raises(InvalidParameterError):
+            placement_energy([unit()], [], 1e9, 1.0, make_channel(h=0.0, bw=20e6), CAPS)
 
     def test_energy_identity(self):
-        assert tx_energy(1.0, 0.05) == pytest.approx(0.05)
+        ch = make_channel(bw=20e6)
+        u = unit(d=1e6)
+        rate = uplink_rate(ch, snr(1.0, ch))
+        assert placement_energy([u], [], 1e9, 1.0, ch, CAPS) == u.d / rate
 
     def test_energy_product(self):
-        assert tx_energy(0.1, 0.014453) == pytest.approx(0.0014453)
+        ch = make_channel(bw=20e6, n0=1e-2)
+        us = [unit(0, d=1e6), unit(1, d=3e5)]
+        e = placement_energy(us, [], 1e9, 0.1, ch, CAPS)
+        rate = uplink_rate(ch, snr(0.1, ch))
+        assert e == pytest.approx(0.1 * 1.3e6 / rate, rel=1e-12)
+        assert e == pytest.approx(tx_energy_total(1.3e6, 0.1, ch), rel=1e-12)
 
 
 class TestMecLatency:
+    """The server runs an offloaded unit for w/f_mec seconds, FIFO
+    (`mec_pipeline`)."""
+
     def test_identity(self):
-        assert mec_latency(2e10, MecCaps(2e10)) == 1.0
+        # uploads of a microsecond: the second unit waits for the server
+        lt = mec_pipeline([unit(0, d=1.0, w=2e10), unit(1, d=1.0, w=2e10)], 1e6, MecCaps(2e10))
+        assert lt[1] == lt[0] + 1.0
 
     def test_direct(self):
-        assert mec_latency(1.875e8, MecCaps(2e10)) == pytest.approx(0.009375)
-        assert mec_latency(4.5e8, MecCaps(2e10)) == pytest.approx(0.0225)
+        lt = mec_pipeline(
+            [unit(0, d=1.0, w=1.875e8), unit(1, d=1.0, w=4.5e8)], 1e9, MecCaps(2e10)
+        )
+        assert lt[0] == pytest.approx(1e-9 + 0.009375)
+        assert lt[1] - lt[0] == pytest.approx(0.0225)
 
 
 class TestDomainTypes:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecoff.allocate import MAX_TREE_DEPTH
 from mecoff.correlation import pearson
 from mecoff.errors import ConfigError
 from mecoff.methods import run_method
@@ -22,7 +23,7 @@ from mecoff.scenario import (
     save_config,
     synthesize_frames,
 )
-from oracles import reference_synthesize_frames
+from oracles import reference_generate, reference_synthesize_frames
 
 
 def small_config(**overrides):
@@ -82,6 +83,11 @@ class TestSynthesizeFrames:
         for x, y, rho in zip(frames, frames[1:], targets):
             assert pearson(x, y) == pytest.approx(rho, abs=0.05)  # exact by construction
             assert pearson(x, y) == pytest.approx(rho, abs=1e-9)
+
+    def test_signed_zero_range_draws_zero(self):
+        # 0.0 <= -0.0 holds, so the config validates; the draw must not fail
+        frames, targets = synthesize_frames(np.random.default_rng(3), 3, 8, 0.0, -0.0)
+        assert len(frames) == 3 and targets == [0.0, 0.0]
 
     @given(
         st.integers(0, 2**32),
@@ -188,6 +194,57 @@ class TestGenerate:
             for members in by_task.values():
                 total_w = sum(m.w for m in members)
                 assert 1500.0 <= total_w <= 4500.0 + 1e-6
+
+
+@st.composite
+def generator_configs(draw):
+    """Configs that reach every branch of the task draw: both cycle models,
+    planted copies and shared sources, and task sizes just above the unit
+    count, where `_split_size` gives parts back and a planted unit may not
+    fit."""
+    units_hi = draw(st.integers(1, 8))
+    units_lo = draw(st.integers(max(1, units_hi - 2), units_hi))
+    if draw(st.booleans()):
+        size_lo = draw(st.integers(units_hi, units_hi + 1))
+        size_hi = draw(st.integers(size_lo, size_lo + 4))
+    else:
+        size_lo = draw(st.integers(1_000, 100_000))
+        size_hi = draw(st.integers(size_lo, 3 * size_lo))
+    density_lo = draw(st.floats(1.0, 5_000.0))
+    return ScenarioConfig(
+        n_users=draw(st.integers(1, 4)),
+        tasks_per_user=(1, draw(st.integers(1, min(5, MAX_TREE_DEPTH // units_hi)))),
+        units_per_task=(units_lo, units_hi),
+        task_size=(float(size_lo), float(size_hi)),
+        cycle_density=(density_lo, density_lo * draw(st.floats(1.0, 4.0))),
+        cycle_model=draw(st.sampled_from(["per_bit", "per_task"])),
+        deadlines=(0.05, 0.1, 0.2),
+        frames_per_task=draw(st.integers(1, 3)),
+        frame_len=draw(st.integers(3, 16)),
+        dup_unit_fraction=draw(st.floats(0.0, 0.5)),
+        shared_source_fraction=draw(st.floats(0.0, 0.5)),
+    )
+
+
+class TestGenerateAgainstReference:
+    @given(generator_configs(), st.integers(0, 2**32), st.sampled_from([0.0, 25.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_draw_and_rng_state(self, cfg, seed, snr_db):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        sc = generate(cfg, snr_db, rng)  # default_rng hands a Generator back as is
+        ref = reference_generate(cfg, snr_db, ref_rng)
+        assert len(sc.users) == len(ref.users)
+        for user, ref_user in zip(sc.users, ref.users):
+            assert user.units == ref_user.units
+            assert user.channel == ref_user.channel
+            assert user.n_tasks == ref_user.n_tasks
+            assert sorted(user.frames) == sorted(ref_user.frames)
+            for task, seq in user.frames.items():
+                assert [(f.task_label, f.epoch, f.data.tobytes()) for f in seq] == [
+                    (f.task_label, f.epoch, f.data.tobytes()) for f in ref_user.frames[task]
+                ]
+        assert (sc.caps, sc.mec, sc.snr_db) == (ref.caps, ref.mec, ref.snr_db)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestValidateRejectsUnrunnableConfigs:

@@ -90,6 +90,18 @@ class TestMinFeasibleFrequency:
         f = min_feasible_frequency(asg, us, channel(), MEC, caps(), p=1.0)
         assert f == F_MIN_FLOOR
 
+    @pytest.mark.parametrize("f_max", [5e5, 1e-300])
+    def test_floor_never_exceeds_a_lower_cap(self, f_max):
+        # an all-offload placement must still be evaluable at its returned clock
+        us = [unit(0), unit(1)]
+        c = caps(f_max=f_max)
+        f = min_feasible_frequency(Assignment([0, 1], [1, 1]), us, channel(), MEC, c, p=1.0)
+        assert 0 < f <= f_max
+        sol = optimize_user(us, channel(), MEC, c)
+        assert sol.assignment.bits == (1, 1)
+        assert 0 < sol.f <= f_max
+        assert check_constraints(sol.schedule, us, c).ok
+
     def test_matches_closed_form(self):
         # single local unit: smallest clock is w / deadline
         us = [unit(0, w=1e8, deadline=0.1)]
