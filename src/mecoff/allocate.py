@@ -2,7 +2,7 @@
 
 Units are ordered by deadline and decided one per tree level: branch 1
 offloads the unit, branch 0 keeps it local. Each node carries the running
-pipeline state at the search's clock and power, so extending a node costs
+pipeline state at the device caps (f_max, p_max), so extending a node costs
 O(1); a branch is dropped as soon as the newly decided unit misses its own
 deadline. Deadline pruning is exact because completion times are monotone in
 the prefix decisions: later choices can never repair an already-late unit.
@@ -13,7 +13,8 @@ up to unit i) and the rate r_lb = max D_i / (min(dl_j, T_user) - C_ij) over
 its offloaded units (D_i the bits sent up to unit i, C_ij the server time of
 units i..j), with p_lb the power of r_lb. f* and p* never fall as units are
 added and p / r(p) rises with p, so the prefix energy kappa·W·f_lb² +
-p_lb·D / r(p_lb) is a lower bound on the energy of every completion. Given
+p_lb·D / r(p_lb) is a lower bound on the energy of every completion, at its
+minimum clock and power or at the caps (which are no lower). Given
 the energy of the best leaf found so far, a node whose bound exceeds it by
 more than PRUNE_MARGIN (relative) is dropped with its subtree. The margin
 covers float rounding: the floors come from the same float operations as
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ConstraintViolationError, InvalidParameterError
+from .errors import InvalidParameterError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit, power_for_rate, snr, uplink_rate
 
 MAX_TREE_DEPTH = 24  # 2^24 leaves; hard stop against accidental blow-ups
@@ -82,24 +83,21 @@ def rate_floor_step(
 
 def branch_and_bound(
     ordered_units: Sequence[Unit],
-    f: float,
-    p: float,
     ch: ChannelState,
     mec: MecCaps,
     caps: DeviceCaps,
     incumbent: Callable[[], float] | None = None,
-    *,
-    tuned: bool = True,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the bits of every placement that meets all deadlines at (f, p),
-    depth-first with the offload branch first, except those cut on cost.
+    """Yield the bits of every placement that meets all deadlines at
+    (f_max, p_max), depth-first with the offload branch first, except those
+    cut on cost.
 
     `incumbent` returns the energy of the best leaf the caller has scored so
     far; it is read before each node is expanded, so the caller may lower it
     between leaves. The bound is taken at the prefix floors (f_lb, p_lb),
-    capped by (f, p), or at (f, p) itself when not `tuned`. Without an
-    incumbent nothing is cut on cost. Arguments are checked on the first
-    `next`.
+    capped by (f_max, p_max): no leaf's energy is lower, at its minimum
+    clock and power or at the caps. Without an incumbent nothing is cut on
+    cost. The depth is checked on the first `next`.
     """
     units = list(ordered_units)
     k = len(units)
@@ -108,17 +106,12 @@ def branch_and_bound(
             f"refusing to enumerate {k} units (> {MAX_TREE_DEPTH}); "
             "reduce the unit count or split the user"
         )
-    if f <= 0:
-        raise InvalidParameterError(f"need a positive clock, got {f}")
-    if f > caps.f_max:
-        raise ConstraintViolationError(["C4"], f"f={f} exceeds f_max={caps.f_max}")
-    if p > caps.p_max:
-        raise ConstraintViolationError(["C5"], f"p={p} exceeds p_max={caps.p_max}")
     if not units:
         yield ()
         return
 
-    rate = uplink_rate(ch, snr(p, ch)) if p > 0 else 0.0
+    f, p = caps.f_max, caps.p_max
+    rate = uplink_rate(ch, snr(p, ch))
     tx = [u.d / rate if rate > 0 else math.inf for u in units]
     tm = [u.w / mec.f_mec for u in units]
     tl = [u.w / f for u in units]
@@ -128,11 +121,11 @@ def branch_and_bound(
     kappa = caps.kappa
 
     def local_floor(w_loc: float, f_lb: float) -> float:
-        f_b = min(f_lb, f) if tuned else f
+        f_b = min(f_lb, f)
         return kappa * w_loc * f_b * f_b
 
     def offload_floor(sent: list[float], r_lb: float) -> float:
-        p_b = min(power_for_rate(ch, r_lb), p) if tuned else p
+        p_b = min(power_for_rate(ch, r_lb), p)
         rate_b = uplink_rate(ch, snr(p_b, ch))
         return p_b * sent[-1] / rate_b if rate_b > 0 else 0.0
 
@@ -166,15 +159,10 @@ def branch_and_bound(
 
 
 def enumerate_feasible(
-    ordered_units: Sequence[Unit],
-    f: float,
-    p: float,
-    ch: ChannelState,
-    mec: MecCaps,
-    caps: DeviceCaps,
+    ordered_units: Sequence[Unit], ch: ChannelState, mec: MecCaps, caps: DeviceCaps
 ) -> FeasibleSet:
     """Every placement whose units all meet their own deadlines and whose
-    makespan meets the user deadline at (f, p): `branch_and_bound` with no
-    incumbent, so nothing is cut on cost."""
-    leaves = tuple(branch_and_bound(ordered_units, f, p, ch, mec, caps))
+    makespan meets the user deadline at (f_max, p_max): `branch_and_bound`
+    with no incumbent, so nothing is cut on cost."""
+    leaves = tuple(branch_and_bound(ordered_units, ch, mec, caps))
     return FeasibleSet(order=tuple(u.id for u in ordered_units), bits=leaves)

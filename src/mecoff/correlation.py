@@ -113,6 +113,9 @@ def _pearson_centred(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -
     return max(-1.0, min(1.0, r))
 
 
+# `_centre` classifies overflowing and non-finite frames itself, so numpy's
+# warnings for them are silenced once per call of the two callers below.
+@np.errstate(over="ignore", invalid="ignore")
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation coefficient, clamped to [-1, 1].
 
@@ -135,6 +138,7 @@ def _check_frames(frames: Sequence[Frame]) -> None:
         raise InvalidParameterError("frames must be 1-D and of equal length")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _filter(frames: Sequence[Frame], alpha: float, beta: float) -> list[FilterDecision]:
     """The decision loop of both policies, as described in `filter_multi`.
 

@@ -54,7 +54,6 @@ class MethodResult:
     when the user failed outright and nothing ran).
     """
 
-    user: int
     energy: float
     failed_tasks: int
     total_tasks: int
@@ -123,7 +122,6 @@ def run_method(method_id: str, scenario: Scenario, user_index: int) -> MethodRes
         work, _ = merge_shared_source(work)
     solution = optimize_user(work, user.channel, scenario.mec, scenario.caps, tune=method.tune)
     return MethodResult(
-        user=user_index,
         energy=solution.energy if solution else 0.0,
         failed_tasks=0 if solution else total_tasks,
         total_tasks=total_tasks,

@@ -10,6 +10,7 @@ bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
@@ -95,6 +96,16 @@ class ScenarioConfig:
             noise_density(snr_db, self.bw, self.p_max)
         if self.frames_per_task < 1:
             raise ConfigError(f"frames_per_task: must be >= 1, got {self.frames_per_task}")
+        # the fewest cycles a unit can carry: it holds at least 1 bit, and
+        # M4 keeps at least the first of its task's frames_per_task frames
+        w_min = self.cycle_density[0]
+        if self.cycle_model == "per_task":
+            w_min /= self.task_size[1]
+        w_min /= self.frames_per_task
+        if w_min < sys.float_info.min:
+            raise ConfigError(
+                f"cycle_density: unit cycles can fall to {w_min!r}, below {sys.float_info.min!r}"
+            )
         if self.frame_len < 2:
             raise ConfigError(f"frame_len: must be >= 2, got {self.frame_len}")
         if self.frames_per_task >= 2 and self.frame_len < 3:

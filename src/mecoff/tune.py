@@ -14,15 +14,17 @@ recurrence `allocate.rate_floor_step` that the tree walk also carries) and
 p* = expm1(r* ln2 / bw) / gain. Each is then raised in doubling steps (1,
 2, 4, ... ulps, never past the cap) until `local_sequence` /
 `mec_pipeline` accept it, so the point passes `check_constraints` exactly.
+`min_feasible_frequency` and `min_feasible_power` each take one side.
 
 The user-level optimum is the cheapest feasible placement, each scored at
-its tuned point or, untuned, at the maxima. `optimize_user` finds it with
-`allocate.branch_and_bound`, passing the best energy scored so far as the
-incumbent: a subtree is cut only when its prefix energy at the closed-form
-floors exceeds the incumbent by more than the relative `PRUNE_MARGIN`
-(1e-9, far above the float rounding between a bound and a leaf's energy),
-so only leaves strictly dearer than the winner are skipped and the winner,
-its point and its energy are those of an exhaustive scan.
+its minimum clock and power or, without tuning, at the maxima.
+`optimize_user` finds it with `allocate.branch_and_bound`, passing the best
+energy scored so far as the incumbent: a subtree is cut only when its
+prefix energy at the closed-form floors exceeds the incumbent by more than
+the relative `PRUNE_MARGIN` (1e-9, far above the float rounding between a
+bound and a leaf's energy), so only leaves strictly dearer than the winner
+are skipped and the winner, its point and its energy are those of an
+exhaustive scan.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ F_MIN_FLOOR = 1e6
 
 @dataclass(frozen=True)
 class TunedSolution:
-    """A placement together with its tuned clock, power and resulting cost."""
+    """A placement together with its clock, power and resulting cost."""
 
     assignment: Assignment
     f: float
@@ -104,7 +106,7 @@ def _nudge_up(x: float, cap: float, accepts: Callable[[float], bool]) -> float |
     return x
 
 
-def _min_clock(local: Sequence[Unit], caps: DeviceCaps) -> float | None:
+def min_feasible_frequency(local: Sequence[Unit], caps: DeviceCaps) -> float | None:
     """Closed-form f* of the local side, nudged until `local_sequence` accepts
     it; min(F_MIN_FLOOR, f_max) for an empty side, None when even f_max fails."""
     if not local:
@@ -118,7 +120,7 @@ def _min_clock(local: Sequence[Unit], caps: DeviceCaps) -> float | None:
     return _nudge_up(f_star, caps.f_max, lambda f: _meets(local_sequence(local, f), dls))
 
 
-def _min_power(
+def min_feasible_power(
     offloaded: Sequence[Unit], ch: ChannelState, mec: MecCaps, caps: DeviceCaps
 ) -> float | None:
     """Closed-form p* of the offloaded side, nudged until `mec_pipeline`
@@ -135,45 +137,6 @@ def _min_power(
         r_star = max(r_star, r)
     p_star = power_for_rate(ch, r_star)
     return _nudge_up(p_star, caps.p_max, lambda p: _mec_meets(offloaded, dls, p, ch, mec))
-
-
-def min_feasible_frequency(
-    assignment: Assignment,
-    units: Iterable[Unit],
-    ch: ChannelState,
-    mec: MecCaps,
-    caps: DeviceCaps,
-    p: float,
-) -> float | None:
-    """Smallest clock in (0, f_max] keeping the placement feasible at power p.
-
-    Returns min(F_MIN_FLOOR, f_max) when nothing runs locally and None when
-    even f_max fails or the offloaded side misses a deadline at power p.
-    """
-    offloaded, local = assignment.split(units)
-    if offloaded and not _mec_meets(offloaded, _deadlines(offloaded, caps), p, ch, mec):
-        return None  # no clock can repair the offloaded side
-    return _min_clock(local, caps)
-
-
-def min_feasible_power(
-    assignment: Assignment,
-    units: Iterable[Unit],
-    ch: ChannelState,
-    mec: MecCaps,
-    caps: DeviceCaps,
-    f: float,
-) -> float | None:
-    """Smallest power in (0, p_max] keeping the placement feasible at clock f.
-
-    Returns 0 when nothing is offloaded and None when even p_max fails
-    (including a zero channel gain) or the local side misses a deadline at
-    clock f.
-    """
-    offloaded, local = assignment.split(units)
-    if offloaded and local and not _meets(local_sequence(local, f), _deadlines(local, caps)):
-        return None  # no power can repair the local side
-    return _min_power(offloaded, ch, mec, caps)
 
 
 def optimize_user(
@@ -197,16 +160,13 @@ def optimize_user(
     """
     ordered = order_units(units)
     best = None
-    leaves = branch_and_bound(
-        ordered, caps.f_max, caps.p_max, ch, mec, caps,
-        lambda: best[0][0] if best else math.inf, tuned=tune,
-    )
+    leaves = branch_and_bound(ordered, ch, mec, caps, lambda: best[0][0] if best else math.inf)
     for bits in leaves:
         offloaded, local = split_by_bits(ordered, bits)
         f, p = caps.f_max, caps.p_max
         if tune:
-            f = _min_clock(local, caps)
-            p = _min_power(offloaded, ch, mec, caps)
+            f = min_feasible_frequency(local, caps)
+            p = min_feasible_power(offloaded, ch, mec, caps)
             if f is None or p is None:  # cannot happen for a feasible leaf
                 continue
         key = (placement_energy(offloaded, local, f, p, ch, caps), sum(bits), bits)

@@ -171,7 +171,9 @@ def _bisect(feasible, hi, abs_tol):
 
 
 def bisect_min_frequency(assignment, units, ch, mec, caps, p):
-    """Bisection counterpart of mecoff.tune.min_feasible_frequency."""
+    """Smallest clock at which the placement passes at power p, by bisection:
+    on an all-local placement, the counterpart of
+    mecoff.tune.min_feasible_frequency."""
     units = tuple(units)
     if all(assignment.bits):
         feasible = _accepted(assignment, units, caps.f_max, p, ch, mec, caps)
@@ -182,7 +184,9 @@ def bisect_min_frequency(assignment, units, ch, mec, caps, p):
 
 
 def bisect_min_power(assignment, units, ch, mec, caps, f):
-    """Bisection counterpart of mecoff.tune.min_feasible_power."""
+    """Smallest power at which the placement passes at clock f, by bisection:
+    on an all-offloaded placement, the counterpart of
+    mecoff.tune.min_feasible_power."""
     units = tuple(units)
     if not any(assignment.bits):
         return 0.0
@@ -195,22 +199,24 @@ def exhaustive_best(units, ch, mec, caps, *, tune=True):
     """Counterpart of mecoff.tune.optimize_user that takes no shortcut.
 
     Every member of the feasible set is built as an Assignment, tuned through
-    min_feasible_frequency (at p_max) then min_feasible_power (at that clock),
-    or left at (f_max, p_max) without `tune`, then evaluated and revalidated.
+    min_feasible_frequency on its local side and min_feasible_power on its
+    offloaded side, or left at (f_max, p_max) without `tune`, then evaluated
+    and revalidated as a whole.
     Returns (bits, f, p, energy) of the least (energy, popcount, bits) key,
     or None when no member has a point.
     """
     units = tuple(units)
-    fs = enumerate_feasible(order_units(units), caps.f_max, caps.p_max, ch, mec, caps)
+    fs = enumerate_feasible(order_units(units), ch, mec, caps)
     best_key = None
     best = None
     for bits in fs.bits:
         asg = Assignment(fs.order, bits)
         f, p = caps.f_max, caps.p_max
         if tune:
-            f = min_feasible_frequency(asg, units, ch, mec, caps, p=p)
-            p = None if f is None else min_feasible_power(asg, units, ch, mec, caps, f=f)
-            if p is None:
+            offloaded, local = asg.split(units)
+            f = min_feasible_frequency(local, caps)
+            p = min_feasible_power(offloaded, ch, mec, caps)
+            if f is None or p is None:
                 continue
         result = evaluate(asg, units, f, p, ch, mec, caps)
         report = check_constraints(result, units, caps)

@@ -75,7 +75,7 @@ def test_criterion_2_allocator_oracle():
         caps = DeviceCaps(f_max=2e9, p_max=1.0, kappa=1e-26,
                           user_deadline=float(rng.choice([0.1, 0.2, 0.5])))
         ordered = order_units(units)
-        ours = set(enumerate_feasible(ordered, caps.f_max, caps.p_max, ch, MEC, caps).bits)
+        ours = set(enumerate_feasible(ordered, ch, MEC, caps).bits)
         oracle = brute_force_feasible(ordered, caps.f_max, caps.p_max, ch, MEC, caps)
         assert ours == oracle
     report("2 allocator-oracle", t0, 30.0)

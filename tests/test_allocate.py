@@ -18,7 +18,7 @@ from mecoff.allocate import (
 from mecoff.errors import InvalidParameterError
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, power_for_rate
 from mecoff.schedule import Assignment, check_constraints, evaluate, placement_energy, split_by_bits
-from mecoff.tune import _min_clock, _min_power
+from mecoff.tune import min_feasible_frequency, min_feasible_power
 from oracles import brute_force_feasible
 
 CH = ChannelState(h=1.0, bw=20e6, n0=1.0 / (20e6 * 100))  # mean snr 100 at 1 W
@@ -63,20 +63,20 @@ class TestOrderUnits:
 class TestEnumerateFeasible:
     def test_tiny_both_feasible(self):
         us = [unit(0, d=1e5, w=1e7, deadline=0.2)]
-        fs = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
+        fs = enumerate_feasible(order_units(us), CH, MEC, caps())
         assert set(fs.bits) == {(0,), (1,)}
         # offload branch explored first
         assert fs.bits == ((1,), (0,))
 
     def test_tree_is_bounded(self):
         us = random_units(np.random.default_rng(0), 4)
-        fs = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
+        fs = enumerate_feasible(order_units(us), CH, MEC, caps())
         assert len(fs) <= 2**4
 
     def test_local_infeasible_unit_forced_to_mec(self):
         # local compute would need 1 s, both deadlines far below that
         us = [unit(0, d=5e5, w=2e9, deadline=0.15), unit(1, d=5e5, w=2e9, deadline=0.15)]
-        fs = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
+        fs = enumerate_feasible(order_units(us), CH, MEC, caps())
         oracle = brute_force_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
         assert set(fs.bits) == oracle
         assert all(b[0] == 1 for b in fs.bits)
@@ -87,14 +87,14 @@ class TestEnumerateFeasible:
             k = int(rng.integers(2, 9))
             us = random_units(rng, k)
             c = caps(user_deadline=float(rng.choice([0.1, 0.2, 0.5])))
-            fs = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, c)
+            fs = enumerate_feasible(order_units(us), CH, MEC, c)
             oracle = brute_force_feasible(order_units(us), 2e9, 1.0, CH, MEC, c)
             assert set(fs.bits) == oracle
 
     def test_every_member_passes_checks(self):
         rng = np.random.default_rng(3)
         us = random_units(rng, 6)
-        fs = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
+        fs = enumerate_feasible(order_units(us), CH, MEC, caps())
         for bits in fs.bits:
             asg = Assignment(fs.order, bits)
             res = evaluate(asg, us, 2e9, 1.0, CH, MEC, caps())
@@ -106,7 +106,7 @@ class TestEnumerateFeasible:
         rng = np.random.default_rng(9)
         us = random_units(rng, 6)
         ordered = order_units(us)
-        fs = enumerate_feasible(ordered, 2e9, 1.0, CH, MEC, caps())
+        fs = enumerate_feasible(ordered, CH, MEC, caps())
         feasible = set(fs.bits)
         for bits in [tuple(rng.integers(0, 2, size=6)) for _ in range(20)]:
             asg = Assignment(fs.order, bits)
@@ -122,18 +122,18 @@ class TestEnumerateFeasible:
     def test_determinism(self):
         rng = np.random.default_rng(5)
         us = random_units(rng, 7)
-        a = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
-        b = enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
+        a = enumerate_feasible(order_units(us), CH, MEC, caps())
+        b = enumerate_feasible(order_units(us), CH, MEC, caps())
         assert a.bits == b.bits
 
     def test_depth_cap(self):
         us = [unit(i) for i in range(MAX_TREE_DEPTH + 1)]
         with pytest.raises(InvalidParameterError):
-            enumerate_feasible(order_units(us), 2e9, 1.0, CH, MEC, caps())
+            enumerate_feasible(order_units(us), CH, MEC, caps())
 
-    def test_zero_power_kills_offload_branch(self):
+    def test_zero_gain_kills_offload_branch(self):
         us = [unit(0, d=1e5, w=1e7, deadline=0.2)]
-        fs = enumerate_feasible(order_units(us), 2e9, 0.0, CH, MEC, caps())
+        fs = enumerate_feasible(order_units(us), replace(CH, h=0.0), MEC, caps())
         assert set(fs.bits) == {(0,)}
 
 
@@ -151,7 +151,7 @@ def test_brute_force_equality_with_deadlines_on_completion_times(k, data):
     done = {**res.lt_local, **res.lt_mec}
     ordered = order_units([replace(u, deadline=done[u.id]) for u in us])
     c = caps(user_deadline=res.ts)
-    fs = enumerate_feasible(ordered, 2e9, 1.0, CH, MEC, c)
+    fs = enumerate_feasible(ordered, CH, MEC, c)
     assert set(fs.bits) == brute_force_feasible(ordered, 2e9, 1.0, CH, MEC, c)
 
 
@@ -183,7 +183,7 @@ def margin_cases(draw):
     return order_units(us), ch, caps(user_deadline=t_user)
 
 
-def walk_nodes(ordered, ch, c, tuned):
+def walk_nodes(ordered, ch, c):
     """The leaves feasible at the maxima, and for every node the walk
     expands the floats its cost cut reads: (bound, local cycles, f_lb, bits
     offloaded, r_lb), keyed by the node's bits.
@@ -201,7 +201,7 @@ def walk_nodes(ordered, ch, c, tuned):
         nodes[v["bits"]] = (v["e_loc"] + v["e_off"], v["w_loc"], v["f_lb"], sent, v["r_lb"])
         return math.inf
 
-    leaves = list(branch_and_bound(ordered, c.f_max, c.p_max, ch, MEC, c, incumbent, tuned=tuned))
+    leaves = list(branch_and_bound(ordered, ch, MEC, c, incumbent))
     return leaves, nodes
 
 
@@ -233,10 +233,10 @@ def assert_within(value, exact, rel):
 class TestPruneMarginAgainstExactArithmetic:
     """The cost cut drops a node only when its bound exceeds the incumbent by
     more than PRUNE_MARGIN (relative). Checked here in 50-digit decimals: the
-    floors never exceed a leaf's clock and power, each node's bound and each
-    leaf's energy are within 1e-13 of the exact energies at their own float
-    points, and no node's bound exceeds the energy of a leaf below it by the
-    margin."""
+    floors never exceed a leaf's minimum clock and power, each node's bound
+    and each leaf's energy, at its minimum point and at the caps, are within
+    1e-13 of the exact energies at their own float points, and no node's
+    bound exceeds either energy of a leaf below it by the margin."""
 
     @settings(max_examples=60, deadline=None)
     @given(margin_cases())
@@ -244,24 +244,22 @@ class TestPruneMarginAgainstExactArithmetic:
         ordered, ch, c = case
         with localcontext() as ctx:
             ctx.prec = 50
-            for tuned in (True, False):
-                leaves, nodes = walk_nodes(ordered, ch, c, tuned)
-                for bound, w_loc, f_lb, sent, r_lb in nodes.values():
-                    f_b = min(f_lb, c.f_max) if tuned else c.f_max
-                    p_b = min(exact_power(r_lb, ch), Decimal(c.p_max)) if tuned else c.p_max
-                    assert_within(bound, exact_energy(w_loc, f_b, sent, p_b, ch, c), 1e-13)
-                for bits in leaves:
-                    offloaded, local = split_by_bits(ordered, bits)
-                    f, p = c.f_max, c.p_max
-                    if tuned:
-                        f, p = _min_clock(local, c), _min_power(offloaded, ch, MEC, c)
-                    energy = placement_energy(offloaded, local, f, p, ch, c)
-                    exact = sum(exact_energy(u.w, f, 0.0, p, ch, c) for u in local)
-                    exact += sum(exact_energy(0.0, f, u.d, p, ch, c) for u in offloaded)
+            leaves, nodes = walk_nodes(ordered, ch, c)
+            for bound, w_loc, f_lb, sent, r_lb in nodes.values():
+                f_b = min(f_lb, c.f_max)
+                p_b = min(exact_power(r_lb, ch), Decimal(c.p_max))
+                assert_within(bound, exact_energy(w_loc, f_b, sent, p_b, ch, c), 1e-13)
+            for bits in leaves:
+                offloaded, local = split_by_bits(ordered, bits)
+                f, p = min_feasible_frequency(local, c), min_feasible_power(offloaded, ch, MEC, c)
+                for f_e, p_e in ((f, p), (c.f_max, c.p_max)):
+                    energy = placement_energy(offloaded, local, f_e, p_e, ch, c)
+                    exact = sum(exact_energy(u.w, f_e, 0.0, p_e, ch, c) for u in local)
+                    exact += sum(exact_energy(0.0, f_e, u.d, p_e, ch, c) for u in offloaded)
                     assert_within(energy, exact, 1e-13)
                     for depth in range(len(bits) + 1):
-                        bound, _, f_lb, _, r_lb = nodes[bits[:depth]]
-                        assert bound <= energy * (1.0 + PRUNE_MARGIN)
-                        if tuned:
-                            assert min(f_lb, c.f_max) <= f
-                            assert min(power_for_rate(ch, r_lb), c.p_max) <= p
+                        assert nodes[bits[:depth]][0] <= energy * (1.0 + PRUNE_MARGIN)
+                for depth in range(len(bits) + 1):
+                    _, _, f_lb, _, r_lb = nodes[bits[:depth]]
+                    assert min(f_lb, c.f_max) <= f
+                    assert min(power_for_rate(ch, r_lb), c.p_max) <= p

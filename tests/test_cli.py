@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,30 @@ class TestNonFiniteAndExtremeInputs:
             assert err.startswith("error: task_size")
             assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"cycle_model": "per_task", "cycle_density": (5e-324, 5e-324)},  # zero at generate
+        {"cycle_density": (5e-324, 5e-324), "task_size": (3, 6)},  # zero after M4's scaling
+    ])
+    def test_cycles_that_underflow_are_reported(self, tmp_path, capsys, changes):
+        path = write_cfg(tmp_path, replace(demo_config(), **changes))
+        for argv in (["validate-config", "--config", str(path)],
+                     ["sweep", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cycle_density")
+            assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_cycles_just_above_the_underflow_bound_run(self, tmp_path, capsys):
+        # a 1-bit unit keeps at least 1/frames_per_task of its cycles under M4
+        lo = demo_config().frames_per_task * sys.float_info.min
+        path = write_cfg(tmp_path, replace(demo_config(), cycle_density=(lo, lo), task_size=(3, 6)))
+        out = tmp_path / "o"
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--reps", "3", "--out", str(out)]) == 0
+        assert "error:" not in capsys.readouterr().err
+        assert len(load_rows(out / "results.csv")) == 25
 
     def test_task_size_just_below_int64_runs(self, tmp_path):
         hi = float(np.nextafter(2.0**63, 0))

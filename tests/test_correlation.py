@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,15 @@ from oracles import (
 FULL = FilterAction.PROCESS_FULL
 DIFF = FilterAction.PROCESS_DIFF
 SKIP = FilterAction.SKIP
+
+
+@pytest.fixture
+def no_warning_escapes():
+    """Fails the test if the library lets any warning reach its caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert [str(w.message) for w in caught] == []
 
 
 def frames_from(rows):
@@ -193,7 +204,7 @@ NON_FINITE_ROWS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the nan/overflow first
+@pytest.mark.usefixtures("no_warning_escapes")
 class TestNonFiniteFrames:
     @pytest.mark.parametrize("row", NON_FINITE_ROWS.values(), ids=NON_FINITE_ROWS)
     def test_pearson_rejects(self, row):
@@ -250,7 +261,7 @@ class TestConstantFrames:
         x[n // 2] = np.nextafter(c, np.inf)
         assert pearson(x, x) == pytest.approx(1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum overflows
+    @pytest.mark.usefixtures("no_warning_escapes")  # the sum overflows
     @pytest.mark.parametrize("c", [1e308, -1e308])
     @pytest.mark.parametrize("n", [3, 256])
     def test_huge_constant_is_degenerate_not_non_finite(self, c, n):
@@ -262,7 +273,7 @@ class TestConstantFrames:
         assert [d.action for d in filter_multi(frames, 0.9, 0.5)] == [FULL, FULL]
         assert [d.action for d in filter_single(frames, 0.9)] == [FULL, FULL]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.usefixtures("no_warning_escapes")
     @pytest.mark.parametrize("c", [np.inf, -np.inf])
     def test_infinite_constant_is_still_non_finite(self, c):
         with pytest.raises(InvalidParameterError):

@@ -332,6 +332,7 @@ class TestValidateRejectsNonFiniteFields:
 
     def test_shipped_configs_still_validate(self):
         demo_config().validate()
+        ScenarioConfig().validate()
         workloads = sorted((Path(__file__).parents[1] / "bench" / "workloads").glob("*.cfg"))
         assert len(workloads) == 3
         for path in workloads:

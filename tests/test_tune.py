@@ -85,17 +85,14 @@ class TestTxEnergyTotal:
 
 class TestMinFeasibleFrequency:
     def test_no_local_units_returns_floor(self):
-        us = [unit(0)]
-        asg = Assignment([0], [1])
-        f = min_feasible_frequency(asg, us, channel(), MEC, caps(), p=1.0)
-        assert f == F_MIN_FLOOR
+        assert min_feasible_frequency([], caps()) == F_MIN_FLOOR
 
     @pytest.mark.parametrize("f_max", [5e5, 1e-300])
     def test_floor_never_exceeds_a_lower_cap(self, f_max):
         # an all-offload placement must still be evaluable at its returned clock
         us = [unit(0), unit(1)]
         c = caps(f_max=f_max)
-        f = min_feasible_frequency(Assignment([0, 1], [1, 1]), us, channel(), MEC, c, p=1.0)
+        f = min_feasible_frequency([], c)
         assert 0 < f <= f_max
         sol = optimize_user(us, channel(), MEC, c)
         assert sol.assignment.bits == (1, 1)
@@ -105,22 +102,17 @@ class TestMinFeasibleFrequency:
     def test_matches_closed_form(self):
         # single local unit: smallest clock is w / deadline
         us = [unit(0, w=1e8, deadline=0.1)]
-        asg = Assignment([0], [0])
-        f = min_feasible_frequency(asg, us, channel(), MEC, caps(user_deadline=10.0), p=1.0)
+        f = min_feasible_frequency(us, caps(user_deadline=10.0))
         assert f == pytest.approx(1e9, rel=1e-6)
 
     def test_infeasible_when_cap_too_low(self):
         us = [unit(0, w=3e8, deadline=0.1)]
-        asg = Assignment([0], [0])
-        assert min_feasible_frequency(asg, us, channel(), MEC, caps(f_max=2e9), p=1.0) is None
+        assert min_feasible_frequency(us, caps(f_max=2e9)) is None
 
     def test_cumulative_constraint_drives_clock(self):
         # two local units; the second's cumulative deadline dominates
         us = [unit(0, w=1e8, deadline=0.1), unit(1, w=2e8, deadline=0.12)]
-        asg = Assignment([0, 1], [0, 0])
-        f = min_feasible_frequency(
-            asg, us, channel(), MEC, caps(user_deadline=10.0, f_max=4e9), p=1.0
-        )
+        f = min_feasible_frequency(us, caps(user_deadline=10.0, f_max=4e9))
         assert f == pytest.approx(3e8 / 0.12, rel=1e-6)
 
     def test_within_tolerance_of_fine_grid(self):
@@ -128,9 +120,10 @@ class TestMinFeasibleFrequency:
         for _ in range(20):
             us = [unit(i, w=float(rng.integers(4e7, 1.3e8)), deadline=0.2)
                   for i in range(3)]
-            asg = Assignment([u.id for u in order_units(us)], [0, 0, 0])
+            ordered = order_units(us)
+            asg = Assignment([u.id for u in ordered], [0, 0, 0])
             c = caps(user_deadline=0.5)
-            f = min_feasible_frequency(asg, us, channel(), MEC, c, p=1.0)
+            f = min_feasible_frequency(ordered, c)
             assert f is not None
             # independent fine grid: step 1e-7 of the range
             step = 1e-7 * c.f_max
@@ -145,16 +138,13 @@ class TestMinFeasibleFrequency:
 
 class TestMinFeasiblePower:
     def test_no_offloaded_units_returns_zero(self):
-        us = [unit(0)]
-        asg = Assignment([0], [0])
-        assert min_feasible_power(asg, us, channel(), MEC, caps(), f=2e9) == 0.0
+        assert min_feasible_power([], channel(), MEC, caps()) == 0.0
 
     def test_matches_closed_form_single_unit(self):
         # required rate r* = d / (deadline - compute); p = (2^(r*/bw) - 1) * bw * n0 / h^2
         ch = channel(mean_snr_at_1w=1000.0)
         us = [unit(0, d=2e6, w=4e8, deadline=0.05)]
-        asg = Assignment([0], [1])
-        p = min_feasible_power(asg, us, ch, MEC, caps(user_deadline=1.0), f=2e9)
+        p = min_feasible_power(us, ch, MEC, caps(user_deadline=1.0))
         r_star = 2e6 / (0.05 - 4e8 / 20e9)
         expected = (2 ** (r_star / ch.bw) - 1) * ch.bw * ch.n0 / ch.h**2
         assert p == pytest.approx(expected, rel=1e-6)
@@ -162,14 +152,7 @@ class TestMinFeasiblePower:
     def test_infeasible_beyond_cap(self):
         ch = channel(mean_snr_at_1w=1.0)  # terrible channel
         us = [unit(0, d=5e6, w=4e8, deadline=0.03)]
-        asg = Assignment([0], [1])
-        assert min_feasible_power(asg, us, ch, MEC, caps(), f=2e9) is None
-
-    def test_local_side_beyond_repair(self):
-        us = [unit(0, w=1e9, deadline=0.1), unit(1, d=1e5, w=1e7, deadline=0.2)]
-        asg = Assignment([0, 1], [0, 1])
-        # local unit needs 0.5 s at f_max: no power can fix that
-        assert min_feasible_power(asg, us, channel(), MEC, caps(), f=2e9) is None
+        assert min_feasible_power(us, ch, MEC, caps()) is None
 
     def test_within_tolerance_of_fine_grid(self):
         rng = np.random.default_rng(8)
@@ -179,9 +162,10 @@ class TestMinFeasiblePower:
             us = [unit(i, d=float(rng.integers(5e5, 3e6)),
                        w=float(rng.integers(5e7, 5e8)),
                        deadline=float(rng.choice([0.05, 0.1]))) for i in range(2)]
-            asg = Assignment([u.id for u in order_units(us)], [1, 1])
+            ordered = order_units(us)
+            asg = Assignment([u.id for u in ordered], [1, 1])
             c = caps(user_deadline=0.5)
-            p = min_feasible_power(asg, us, ch, MEC, c, f=2e9)
+            p = min_feasible_power(ordered, ch, MEC, c)
             if p is None or p < 0.1:  # keep the grid step meaningful
                 continue
             checked += 1
@@ -265,7 +249,16 @@ class TestOptimizeUser:
 
 
 def accepted(asg, us, f, p, ch, c):
+    """Whether the placement passes at (f, p); offloading over a zero-rate
+    uplink fails it."""
+    if any(asg.bits) and uplink_rate(ch, snr(p, ch)) <= 0:
+        return False
     return check_constraints(evaluate(asg, us, f, p, ch, MEC, c), us, c).ok
+
+
+def side(units, bit):
+    """The placement that puts every one of `units`, in order, on one side."""
+    return Assignment([u.id for u in units], [bit] * len(units))
 
 
 def rel_gap(a, b):
@@ -313,30 +306,36 @@ class TestClosedFormsAgainstBisection:
     @settings(max_examples=300, deadline=None)
     @given(tuning_cases())
     def test_agree_with_oracle_and_revalidate(self, case):
+        # each kernel against the bisection on its own side alone; the two
+        # minima together are a point of the whole placement exactly when
+        # the placement is feasible at the caps
         asg, us, ch, c = case
-        f = min_feasible_frequency(asg, us, ch, MEC, c, p=c.p_max)
-        f_ref = bisect_min_frequency(asg, us, ch, MEC, c, p=c.p_max)
+        offloaded, local = asg.split(us)
+        f = min_feasible_frequency(local, c)
+        f_ref = bisect_min_frequency(side(local, 0), local, ch, MEC, c, p=c.p_max)
         assert (f is None) == (f_ref is None)
-        if f is None:
-            return
-        assert rel_gap(f, f_ref) <= 1e-7
-        assert accepted(asg, us, f, c.p_max, ch, c)
+        if f is not None:
+            assert rel_gap(f, f_ref) <= 1e-7
+            assert accepted(side(local, 0), local, f, c.p_max, ch, c)
 
-        p = min_feasible_power(asg, us, ch, MEC, c, f=f)
-        p_ref = bisect_min_power(asg, us, ch, MEC, c, f=f)
+        p = min_feasible_power(offloaded, ch, MEC, c)
+        p_ref = bisect_min_power(side(offloaded, 1), offloaded, ch, MEC, c, f=c.f_max)
         assert (p is None) == (p_ref is None)
-        if p is None:
-            return
-        assert rel_gap(p, p_ref) <= 1e-7
-        assert accepted(asg, us, f, p, ch, c)
+        if p is not None:
+            assert rel_gap(p, p_ref) <= 1e-7
+            assert accepted(side(offloaded, 1), offloaded, c.f_max, p, ch, c)
+
+        feasible = accepted(asg, us, c.f_max, c.p_max, ch, c)
+        assert feasible == (f is not None and p is not None)
+        if feasible:
+            assert accepted(asg, us, f, p, ch, c)
 
     @pytest.mark.parametrize("h", [0.0, 1e-160])
     def test_zero_or_vanishing_gain_cannot_offload(self, h):
         ch = ChannelState(h=h, bw=20e6, n0=1.0 / 20e6)
-        us = [unit(0), unit(1)]
-        asg = Assignment([0, 1], [0, 1])
-        assert min_feasible_power(asg, us, ch, MEC, caps(), f=2e9) is None
-        assert min_feasible_frequency(asg, us, ch, MEC, caps(), p=1.0) is None
+        us = [unit(0, deadline=0.2), unit(1, deadline=0.2)]
+        assert min_feasible_power(us[1:], ch, MEC, caps()) is None
+        assert enumerate_feasible(order_units(us), ch, MEC, caps()).bits == ((0, 0),)
 
     def test_point_on_every_deadline_is_returned_exactly(self):
         # deadlines set at the completion times reached at (f0, p0): the
@@ -348,21 +347,23 @@ class TestClosedFormsAgainstBisection:
         done = {**res.lt_local, **res.lt_mec}
         tight = [replace(u, deadline=done[u.id]) for u in us]
         c = caps(user_deadline=res.ts)
-        f = min_feasible_frequency(asg, tight, ch, MEC, c, p=1.0)
-        p = min_feasible_power(asg, tight, ch, MEC, c, f=f)
+        offloaded, local = asg.split(tight)
+        f = min_feasible_frequency(local, c)
+        p = min_feasible_power(offloaded, ch, MEC, c)
         assert f == pytest.approx(7e8, rel=1e-12)
         assert p == pytest.approx(0.3, rel=1e-9)
         assert accepted(asg, tight, f, p, ch, c)
 
 
 def tuned_point(asg, us, ch, mec, c):
-    f = min_feasible_frequency(asg, us, ch, mec, c, p=c.p_max)
-    p = None if f is None else min_feasible_power(asg, us, ch, mec, c, f=f)
-    return None if p is None else (f, p)
+    offloaded, local = asg.split(us)
+    f = min_feasible_frequency(local, c)
+    p = min_feasible_power(offloaded, ch, mec, c)
+    return None if f is None or p is None else (f, p)
 
 
 def _feasible_members(units, ch, c, mec=MEC):
-    fs = enumerate_feasible(order_units(units), c.f_max, c.p_max, ch, mec, c)
+    fs = enumerate_feasible(order_units(units), ch, mec, c)
     return [Assignment(fs.order, bits) for bits in fs.bits]
 
 
@@ -531,7 +532,7 @@ class TestBranchAndBoundAgainstExhaustive:
             sol = optimize_user(us, ch, MEC, c, tune=tune)
             assert solution_tuple(sol) == exhaustive_best(us, ch, MEC, c, tune=tune)
         ordered = order_units(us)
-        fs = enumerate_feasible(ordered, c.f_max, c.p_max, ch, MEC, c)
+        fs = enumerate_feasible(ordered, ch, MEC, c)
         assert len(set(fs.bits)) == len(fs)
         assert set(fs.bits) == brute_force_feasible(ordered, c.f_max, c.p_max, ch, MEC, c)
 
@@ -603,21 +604,22 @@ class TestLeafScoringWork:
     @pytest.mark.parametrize("tune", [True, False])
     def test_once_per_solved_user(self, calls, tune):
         us, c = loose_user(), caps(user_deadline=2.0)
-        assert len(enumerate_feasible(order_units(us), c.f_max, c.p_max, channel(), MEC, c)) == 4096
+        assert len(enumerate_feasible(order_units(us), channel(), MEC, c)) == 4096
         assert optimize_user(us, channel(), MEC, c, tune=tune) is not None
         assert calls == Counter(evaluate=1, check=1)
 
     def test_cost_cut_tunes_few_leaves(self, calls, monkeypatch):
         tuned = Counter()
-        min_power = mecoff.tune._min_power
+        min_power = mecoff.tune.min_feasible_power
 
         def counted(*args):
             tuned["leaves"] += 1
             return min_power(*args)
 
-        monkeypatch.setattr(mecoff.tune, "_min_power", counted)
+        # optimize_user looks the name up at call time, as the trace wraps it
+        monkeypatch.setattr(mecoff.tune, "min_feasible_power", counted)
         us, c = loose_user(), caps(user_deadline=2.0)
-        leaves = len(enumerate_feasible(order_units(us), c.f_max, c.p_max, channel(), MEC, c))
+        leaves = len(enumerate_feasible(order_units(us), channel(), MEC, c))
         assert leaves == 4096
         assert optimize_user(us, channel(), MEC, c) is not None
         assert 0 < tuned["leaves"] < 0.05 * leaves
