@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .methods import METHOD_IDS, MethodResult, run_method
-from .scenario import _TYPE_PARSERS, Scenario, ScenarioConfig, generate, noise_density
+from .scenario import Scenario, ScenarioConfig, generate, noise_density
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -68,8 +68,7 @@ class SweepRow:
     replications: int
 
 
-_ROW_FIELDS = fields(SweepRow)
-CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def cell_seed(seed: int, snr_index: int, replication: int) -> np.random.SeedSequence:
@@ -133,20 +132,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 def render_csv(rows: list[SweepRow]) -> str:
     lines = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in rows]  # str(float) is repr
     return "\n".join(lines) + "\n"
-
-
-def load_rows(path: str | Path) -> list[SweepRow]:
-    """Parse a results.csv written by emit (round-trips exactly)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: not a sweep results file")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(_ROW_FIELDS):
-            raise ConfigError(f"{path}:{lineno}: expected {len(_ROW_FIELDS)} fields, got {line!r}")
-        rows.append(SweepRow(*(_TYPE_PARSERS[f.type](c) for f, c in zip(_ROW_FIELDS, cells))))
-    return rows
 
 
 def emit(rows: list[SweepRow], fmt: str, out_dir: str | Path) -> list[Path]:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# Not called here, but bench/layers.py traces these two names at this binding.
-from .allocate import enumerate_feasible  # noqa: F401
 from .correlation import Frame, dedup, filter_multi, filter_single, fold_units, merge_shared_source
 from .errors import InvalidParameterError
 from .model import Unit
 from .scenario import Scenario
+# Not called here, but bench/layers.py traces these two names at this binding.
 from .schedule import evaluate  # noqa: F401
+from .tune import enumerate_feasible  # noqa: F401
 from .tune import TunedSolution, optimize_user
 
 

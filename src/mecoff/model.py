@@ -1,8 +1,7 @@
 """Physical cost model: domain types, SNR and the uplink rate and its inverse.
 
 Everything here is a pure function of explicit inputs over small frozen
-dataclasses, so every value is unit-testable and safe to call from any
-number of threads.
+dataclasses, so every value is unit-testable.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocate import MAX_TREE_DEPTH
 from .correlation import Frame
 from .errors import ConfigError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit
+from .tune import MAX_TREE_DEPTH
 
 _CYCLE_MODELS = ("per_bit", "per_task")
 _FILTER_MODES = ("multi", "single")
@@ -158,13 +158,15 @@ class Scenario:
 def noise_density(snr_db: float, bw: float, p_max: float) -> float:
     """n0 = p_max / (bw * 10^(snr_db/10)), the noise density that puts the mean
     SNR at full power on the setpoint. ConfigError unless it is finite and
-    positive: the setpoint is not finite, or 10^(snr_db/10) over/underflows."""
+    positive and the noise power bw * n0, the divisor of `snr`, is nonzero:
+    the setpoint is not finite, or 10^(snr_db/10) or bw * n0 over/underflows."""
     try:
         n0 = p_max / (bw * 10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError):
         n0 = math.nan
-    if not 0.0 < n0 < math.inf:
-        raise ConfigError(f"snr setpoint {snr_db!r} dB: noise density {n0!r} is not finite and > 0")
+    if not 0.0 < n0 < math.inf or bw * n0 == 0.0:
+        raise ConfigError(f"snr setpoint {snr_db!r} dB: noise density {n0!r} must be finite and > 0, "
+                          "with a nonzero noise power bw * n0")
     return n0
 
 

@@ -1,29 +1,38 @@
-"""Per-placement resource tuning and the overall user optimization.
+"""The binary placement tree: which units are sent, at what clock and power.
 
 For a fixed placement the two knobs decouple: the clock only moves local
-completion times and the transmit power only moves the offload pipeline,
-so the least-energy feasible point is (smallest feasible f, smallest
-feasible p). CPU energy grows as f^2 and transmission energy grows
-strictly with p (ln(1+x) > x/(1+x)), hence "smallest feasible" is also
-"cheapest". Both minima have closed forms, with every deadline capped by
-the user deadline. Over the local units, with W_i the cycles up to unit i,
-f* = max_i W_i / dl_i. The pipeline finishes offloaded unit j at
-max_{i<=j} (D_i/r + C_ij), D_i the bits sent up to unit i and C_ij the
-server time of units i..j, so r* = max_{i<=j} D_i / (dl_j - C_ij) (the
-recurrence `allocate.rate_floor_step` that the tree walk also carries) and
-p* = expm1(r* ln2 / bw) / gain. Each is then raised in doubling steps (1,
-2, 4, ... ulps, never past the cap) until `local_sequence` /
-`mec_pipeline` accept it, so the point passes `check_constraints` exactly.
-`min_feasible_frequency` and `min_feasible_power` each take one side.
+completion times and the transmit power only moves the offload pipeline.
+CPU energy grows as f^2 and transmission energy strictly with p
+(ln(1+x) > x/(1+x)), so the cheapest point is the smallest feasible
+(f, p). Both have closed forms, with every deadline capped by the user
+deadline. With W_i the cycles up to local unit i, f* = max_i W_i / dl_i.
+The pipeline finishes offloaded unit j at max_{i<=j} (D_i/r + C_ij), D_i
+the bits sent up to unit i and C_ij the server time of units i..j, so
+r* = max_{i<=j} D_i / (dl_j - C_ij) (`_rate_floor_step`) and
+p* = expm1(r* ln2 / bw) / gain. `min_feasible_frequency` and
+`min_feasible_power` raise each in doubling steps (1, 2, 4, ... ulps, never
+past the cap) until `local_sequence` / `mec_pipeline` accept it, so the
+point passes `check_constraints` exactly.
 
-The user-level optimum is the cheapest feasible placement, each scored at
-its minimum clock and power or, without tuning, at the maxima.
-`optimize_user` finds it with `allocate.branch_and_bound`, passing the best
-energy scored so far as the incumbent: a subtree is cut only when its
-prefix energy at the closed-form floors exceeds the incumbent by more than
-the relative `PRUNE_MARGIN` (1e-9, far above the float rounding between a
-bound and a leaf's energy), so only leaves strictly dearer than the winner
-are skipped and the winner, its point and its energy are those of an
+`branch_and_bound` decides the deadline-ordered units one per tree level
+(branch 1 offloads, branch 0 keeps local), carrying the pipeline state at
+the caps (f_max, p_max) so that extending a node costs O(1). A branch whose
+new unit misses its deadline is dropped; completion times are monotone in
+the prefix, so that cut is exact. A node also carries f_lb and r_lb, the
+closed forms over its decided prefix, with p_lb the power of r_lb. f* and
+p* never fall as units are added and p / r(p) rises with p, so the prefix
+energy kappa·W·f_lb² + p_lb·D / r(p_lb) bounds from below every completion,
+at its minimum clock and power or at the caps (which are no lower).
+
+`optimize_user` passes the best leaf energy scored so far as the incumbent;
+a node whose bound exceeds it by more than PRUNE_MARGIN (relative) is
+dropped with its subtree. The floors come from the same float operations
+as the closed forms, so they never exceed a leaf's clock and power (even
+where a floor's own rounding, from the cancellation in dl - C_ij, reaches
+~1e-12), and the bound and a leaf's energy each stay within 1e-13
+(relative) of the exact energy at their float clock and power for
+MAX_TREE_DEPTH units. So no leaf that could tie or beat the incumbent is
+dropped, and the winner, its point and its energy are those of an
 exhaustive scan.
 """
 
@@ -31,11 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .allocate import branch_and_bound, order_units, rate_floor_step
-# Not called here, but bench/layers.py traces this name at this binding.
-from .allocate import enumerate_feasible  # noqa: F401
 from .errors import ConstraintViolationError, InvalidParameterError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit, power_for_rate, snr, uplink_rate
 from .schedule import (
@@ -49,6 +55,8 @@ from .schedule import (
     split_by_bits,
 )
 
+MAX_TREE_DEPTH = 24  # 2^24 leaves; hard stop against accidental blow-ups
+PRUNE_MARGIN = 1e-9  # relative; prune only bounds above incumbent * (1 + margin)
 # Clock for an empty local side (f_max if lower); local energy is zero regardless.
 F_MIN_FLOOR = 1e6
 
@@ -64,14 +72,21 @@ class TunedSolution:
     schedule: ScheduleResult
 
 
-def tx_energy_total(d_total: float, p: float, ch: ChannelState) -> float:
-    """Energy to push d_total bits at power p: (D/bw) * p * log_eta(2)
-    with eta = 1 + snr(p), through log1p as in `uplink_rate`. Algebraically
-    identical to p * D / rate(p).
+@dataclass(frozen=True)
+class FeasibleSet:
+    """All placements of `order` that survive every deadline check.
+
+    `bits` holds one tuple per survivor (1 = offloaded), in discovery order:
+    depth-first with the offload branch explored before the local branch.
     """
-    if p <= 0:
-        raise InvalidParameterError(f"transmit power must be positive, got {p}")
-    return (d_total / ch.bw) * p * (math.log(2.0) / math.log1p(snr(p, ch)))
+
+    order: tuple[int, ...]
+    bits: tuple[tuple[int, ...], ...]
+
+
+def order_units(units: Iterable[Unit]) -> tuple[Unit, ...]:
+    """Deadline-ascending processing order; ties broken by unit id."""
+    return tuple(sorted(units, key=lambda u: (u.deadline, u.id)))
 
 
 def _deadlines(side: Sequence[Unit], caps: DeviceCaps) -> list[float]:
@@ -106,6 +121,28 @@ def _nudge_up(x: float, cap: float, accepts: Callable[[float], bool]) -> float |
     return x
 
 
+def _rate_floor_step(
+    sent: list[float], busy: list[float], d: float, server: float, dl: float
+) -> tuple[list[float], list[float], float]:
+    """Append one unit to an offloaded side's r* recurrence.
+
+    `sent[i]` holds the bits sent up to offloaded unit i and `busy[i]` the
+    server time of units i..last. Returns new lists extended by the unit
+    (the inputs stay as they are, for the sibling branch) and the largest
+    new term D_i / (dl - C_ij), inf where the slack is gone. Lists, not
+    tuples: tuples of every length up to K would fill the interpreter's
+    per-length tuple free lists, which stay resident after the search.
+    """
+    busy = [b + server for b in busy]
+    busy.append(server)
+    sent = [*sent, (sent[-1] if sent else 0.0) + d]
+    r = 0.0
+    for d_i, c_ij in zip(sent, busy):
+        slack = dl - c_ij
+        r = max(r, d_i / slack if slack > 0 else math.inf)
+    return sent, busy, r
+
+
 def min_feasible_frequency(local: Sequence[Unit], caps: DeviceCaps) -> float | None:
     """Closed-form f* of the local side, nudged until `local_sequence` accepts
     it; min(F_MIN_FLOOR, f_max) for an empty side, None when even f_max fails."""
@@ -113,7 +150,7 @@ def min_feasible_frequency(local: Sequence[Unit], caps: DeviceCaps) -> float | N
         return min(F_MIN_FLOOR, caps.f_max)
     dls = _deadlines(local, caps)
     cum_w = 0.0
-    f_star = 0.0
+    f_star = math.ulp(0.0)  # not 0.0: W/dl can underflow, and no clock is 0
     for u, dl in zip(local, dls):
         cum_w += u.w
         f_star = max(f_star, cum_w / dl)
@@ -133,10 +170,96 @@ def min_feasible_power(
     busy: list[float] = []
     r_star = 0.0
     for u, dl in zip(offloaded, dls):
-        sent, busy, r = rate_floor_step(sent, busy, u.d, u.w / mec.f_mec, dl)
+        sent, busy, r = _rate_floor_step(sent, busy, u.d, u.w / mec.f_mec, dl)
         r_star = max(r_star, r)
     p_star = power_for_rate(ch, r_star)
     return _nudge_up(p_star, caps.p_max, lambda p: _mec_meets(offloaded, dls, p, ch, mec))
+
+
+def branch_and_bound(
+    ordered_units: Sequence[Unit],
+    ch: ChannelState,
+    mec: MecCaps,
+    caps: DeviceCaps,
+    incumbent: Callable[[], float] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the bits of every placement that meets all deadlines at
+    (f_max, p_max), depth-first with the offload branch first, except those
+    cut on cost.
+
+    `incumbent` returns the energy of the best leaf the caller has scored so
+    far; it is read before each node is expanded, so the caller may lower it
+    between leaves. The bound is the prefix energy at (f_lb, p_lb), capped
+    by (f_max, p_max). Without an incumbent nothing is cut on cost. The
+    depth is checked on the first `next`.
+    """
+    units = list(ordered_units)
+    k = len(units)
+    if k > MAX_TREE_DEPTH:
+        raise InvalidParameterError(
+            f"refusing to enumerate {k} units (> {MAX_TREE_DEPTH}); "
+            "reduce the unit count or split the user"
+        )
+    if not units:
+        yield ()
+        return
+
+    f, p = caps.f_max, caps.p_max
+    rate = uplink_rate(ch, snr(p, ch))
+    tx = [u.d / rate if rate > 0 else math.inf for u in units]
+    tm = [u.w / mec.f_mec for u in units]
+    tl = [u.w / f for u in units]
+    dl = [u.deadline for u in units]
+    t_user = caps.user_deadline
+    dl_cap = _deadlines(units, caps)
+    kappa = caps.kappa
+
+    def local_floor(w_loc: float, f_lb: float) -> float:
+        f_b = min(f_lb, f)
+        return kappa * w_loc * f_b * f_b
+
+    def offload_floor(sent: list[float], r_lb: float) -> float:
+        p_b = min(power_for_rate(ch, r_lb), p)
+        rate_b = uplink_rate(ch, snr(p_b, ch))
+        return p_b * sent[-1] / rate_b if rate_b > 0 else 0.0
+
+    # node = (depth, bits, uplink finish, last offloaded completion, last local
+    #         completion, local cycles, f_lb, local floor, sent, busy, r_lb,
+    #         offloaded floor); the two floors add up to the node's bound
+    stack = [(0, (), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, [], [], 0.0, 0.0)]
+    while stack:
+        depth, bits, fin_tx, lt_m, lt_l, w_loc, f_lb, e_loc, sent, busy, r_lb, e_off = stack.pop()
+        if incumbent is not None and e_loc + e_off > incumbent() * (1.0 + PRUNE_MARGIN):
+            continue
+        if depth == k:
+            if max(lt_m, lt_l) <= t_user:
+                yield bits
+            continue
+        u = units[depth]
+        # push local first so the offload branch is explored first
+        new_l = lt_l + tl[depth]
+        if new_l <= dl[depth]:
+            w = w_loc + u.w
+            f_new = max(f_lb, w / dl_cap[depth])
+            stack.append((depth + 1, bits + (0,), fin_tx, lt_m, new_l,
+                          w, f_new, local_floor(w, f_new), sent, busy, r_lb, e_off))
+        new_tx = fin_tx + tx[depth]
+        new_m = max(new_tx, lt_m) + tm[depth]
+        if new_m <= dl[depth]:
+            sent_new, busy_new, r_j = _rate_floor_step(sent, busy, u.d, tm[depth], dl_cap[depth])
+            r_new = max(r_lb, r_j)
+            stack.append((depth + 1, bits + (1,), new_tx, new_m, lt_l,
+                          w_loc, f_lb, e_loc, sent_new, busy_new, r_new, offload_floor(sent_new, r_new)))
+
+
+def enumerate_feasible(
+    ordered_units: Sequence[Unit], ch: ChannelState, mec: MecCaps, caps: DeviceCaps
+) -> FeasibleSet:
+    """Every placement whose units all meet their own deadlines and whose
+    makespan meets the user deadline at (f_max, p_max): `branch_and_bound`
+    with no incumbent, so nothing is cut on cost."""
+    leaves = tuple(branch_and_bound(ordered_units, ch, mec, caps))
+    return FeasibleSet(order=tuple(u.id for u in ordered_units), bits=leaves)
 
 
 def optimize_user(
@@ -155,8 +278,7 @@ def optimize_user(
     decouple); without, at (f_max, p_max). Leaves are scored by
     `placement_energy` alone, ties going to fewer offloaded units, then to
     the smaller placement bits; only the winner is evaluated and
-    re-validated. The cost cut only drops leaves strictly dearer than the
-    incumbent, so the winner is the one an exhaustive scan would pick.
+    re-validated.
     """
     ordered = order_units(units)
     best = None

@@ -13,25 +13,36 @@ The task-domain references are the three group-and-fold loops (dedup,
 shared-source merge, M1/M2's task atoms), one hand-written loop each.
 The scenario reference is the plain form of `generate`: the planted unit
 as a tagged (kind, unit) pair and each unit's cycles from a closure.
+`tx_energy_total` is the transmit energy in its log_eta(2) form, against
+which the p·d/r of `placement_energy` is checked, and `load_rows` parses a
+results.csv back into rows.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from mecoff.allocate import enumerate_feasible, order_units
 from mecoff.correlation import FilterAction, FilterDecision, Frame
 from mecoff.errors import ConfigError, DegenerateSignalError, InvalidParameterError
+from mecoff.harness import CSV_HEADER, SweepRow
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
-from mecoff.scenario import Scenario, ScenarioConfig, UserScenario, noise_density
+from mecoff.scenario import _TYPE_PARSERS, Scenario, ScenarioConfig, UserScenario, noise_density
 from mecoff.schedule import Assignment, check_constraints, evaluate
-from mecoff.tune import F_MIN_FLOOR, min_feasible_frequency, min_feasible_power
+from mecoff.tune import (
+    F_MIN_FLOOR,
+    enumerate_feasible,
+    min_feasible_frequency,
+    min_feasible_power,
+    order_units,
+)
 
 # Bisections run to 1e-8 relative width. The absolute floors stop the loop
 # when the feasible region extends all the way to zero.
@@ -523,3 +534,28 @@ def reference_generate(
             UserScenario(units=tuple(units), frames=frames, channel=channel, n_tasks=n_tasks)
         )
     return Scenario(config=config, snr_db=float(snr_db), users=tuple(users), caps=caps, mec=mec)
+
+
+def tx_energy_total(d_total: float, p: float, ch: ChannelState) -> float:
+    """Energy to push d_total bits at power p: (D/bw) * p * log_eta(2)
+    with eta = 1 + snr(p), through log1p as in `uplink_rate`. Algebraically
+    identical to p * D / rate(p).
+    """
+    if p <= 0:
+        raise InvalidParameterError(f"transmit power must be positive, got {p}")
+    return (d_total / ch.bw) * p * (math.log(2.0) / math.log1p(snr(p, ch)))
+
+
+def load_rows(path: str | Path) -> list[SweepRow]:
+    """Parse a results.csv written by emit (round-trips exactly)."""
+    row_fields = fields(SweepRow)
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ConfigError(f"{path}: not a sweep results file")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(row_fields):
+            raise ConfigError(f"{path}:{lineno}: expected {len(row_fields)} fields, got {line!r}")
+        rows.append(SweepRow(*(_TYPE_PARSERS[f.type](c) for f, c in zip(row_fields, cells))))
+    return rows

@@ -12,15 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mecoff.allocate import enumerate_feasible, order_units
 from mecoff.correlation import FilterAction, Frame, filter_multi, filter_single, pearson
 from mecoff.harness import SweepSpec, render_csv, run_sweep
 from mecoff.methods import METHOD_IDS, run_method
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
 from mecoff.scenario import demo_config, generate
 from mecoff.schedule import mec_pipeline
-from mecoff.tune import optimize_user, tx_energy_total
-from oracles import brute_force_feasible, des_pipeline, grid_search_best
+from mecoff.tune import enumerate_feasible, optimize_user, order_units
+from oracles import brute_force_feasible, des_pipeline, grid_search_best, tx_energy_total
 
 MEC = MecCaps(f_mec=20e9)
 SNRS = (10.0, 20.0, 30.0, 40.0, 50.0)

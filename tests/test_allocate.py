@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecoff.allocate import (
+from mecoff.errors import InvalidParameterError
+from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, power_for_rate
+from mecoff.schedule import Assignment, check_constraints, evaluate, placement_energy, split_by_bits
+from mecoff.tune import (
     MAX_TREE_DEPTH,
     PRUNE_MARGIN,
     branch_and_bound,
     enumerate_feasible,
+    min_feasible_frequency,
+    min_feasible_power,
     order_units,
 )
-from mecoff.errors import InvalidParameterError
-from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, power_for_rate
-from mecoff.schedule import Assignment, check_constraints, evaluate, placement_energy, split_by_bits
-from mecoff.tune import min_feasible_frequency, min_feasible_power
 from oracles import brute_force_feasible
 
 CH = ChannelState(h=1.0, bw=20e6, n0=1.0 / (20e6 * 100))  # mean snr 100 at 1 W
@@ -71,7 +72,7 @@ class TestEnumerateFeasible:
     def test_tree_is_bounded(self):
         us = random_units(np.random.default_rng(0), 4)
         fs = enumerate_feasible(order_units(us), CH, MEC, caps())
-        assert len(fs) <= 2**4
+        assert len(fs.bits) <= 2**4
 
     def test_local_infeasible_unit_forced_to_mec(self):
         # local compute would need 1 s, both deadlines far below that

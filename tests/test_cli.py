@@ -8,9 +8,9 @@ import mecoff.cli
 import mecoff.tune
 from mecoff.cli import main
 from mecoff.errors import InvalidParameterError
-from mecoff.harness import load_rows
 from mecoff.scenario import demo_config, save_config
 from mecoff.schedule import ConstraintReport, Violation
+from oracles import load_rows
 
 
 def write_cfg(tmp_path, cfg=None):
@@ -196,6 +196,28 @@ class TestNonFiniteAndExtremeInputs:
         assert code == 0
         assert [r.snr_db for r in load_rows(tmp_path / "o" / "results.csv")] == [float(snr)] * 2
 
+
+    def test_noise_power_that_underflows_is_reported(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, replace(demo_config(), bw=1e-300, p_max=1e-300,
+                                           target_snr_db=(300.0,)))
+        for argv in (["validate-config", "--config", str(path)],
+                     ["sweep", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: snr setpoint")
+            assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_clock_floor_that_underflows_runs(self, tmp_path, capsys):
+        # f* = W / dl underflows to 0 for every local side
+        path = write_cfg(tmp_path, replace(demo_config(), cycle_density=(1e-300, 1e-300),
+                                           deadlines=(1e300, 1e300), user_deadline=1e300,
+                                           kappa=1e-300))
+        out = tmp_path / "o"
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--reps", "1", "--out", str(out)]) == 0
+        assert "error:" not in capsys.readouterr().err
+        assert len(load_rows(out / "results.csv")) == 25
 
     def test_signed_zero_rho_range_runs(self, tmp_path, capsys):
         path = write_cfg(tmp_path, replace(demo_config(), frame_rho=(0.0, -0.0)))

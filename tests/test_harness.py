@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mecoff.errors import ConfigError
 from mecoff.harness import (
@@ -6,11 +10,12 @@ from mecoff.harness import (
     SweepSpec,
     cell_seed,
     emit,
-    load_rows,
     render_csv,
     run_sweep,
 )
+from mecoff.methods import METHOD_IDS
 from mecoff.scenario import demo_config
+from oracles import load_rows
 
 
 def tiny_spec(**overrides):
@@ -134,3 +139,46 @@ class TestEmit:
     def test_byte_identical_rendering(self):
         spec = tiny_spec()
         assert render_csv(run_sweep(spec)) == render_csv(run_sweep(spec))
+
+
+magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)  # log-uniform, 1e-300..1e300
+
+
+@st.composite
+def extreme_configs(draw):
+    """Small trees (K <= 4) with every physical magnitude free over the
+    float range and the SNR setpoint anywhere in [-300, 300] dB."""
+    tasks = draw(st.integers(1, 2))
+    units = draw(st.integers(1, 4 // tasks))
+    return replace(
+        demo_config(),
+        n_users=draw(st.integers(1, 2)),
+        tasks_per_user=(1, tasks),
+        units_per_task=(1, units),
+        cycle_density=tuple(sorted(draw(st.tuples(magnitudes, magnitudes)))),
+        cycle_model=draw(st.sampled_from(["per_bit", "per_task"])),
+        filter_mode=draw(st.sampled_from(["multi", "single"])),
+        deadlines=draw(st.lists(magnitudes, min_size=1, max_size=2).map(tuple)),
+        user_deadline=draw(magnitudes),
+        target_snr_db=(draw(st.floats(-300.0, 300.0)),),
+        frames_per_task=2,
+        frame_len=16,
+        **{k: draw(magnitudes) for k in ("bw", "p_max", "f_max", "f_mec", "kappa")},
+    )
+
+
+class TestAcceptedConfigsRun:
+    # validate() is the only gate before a sweep: a config it accepts must
+    # run to completion, whatever its magnitudes
+    @settings(max_examples=150, deadline=None)
+    @example(replace(demo_config(), bw=1e-300, p_max=1e-300, target_snr_db=(300.0,)))
+    @example(replace(demo_config(), cycle_density=(1e-300, 1e-300), deadlines=(1e300, 1e300),
+                     user_deadline=1e300, kappa=1e-300))
+    @given(extreme_configs())
+    def test_validate_rejects_or_the_sweep_completes(self, config):
+        try:
+            config.validate()
+        except ConfigError:
+            return
+        rows = run_sweep(SweepSpec(config=config, replications=1, seed=3))
+        assert len(rows) == len(METHOD_IDS) * len(config.target_snr_db)

@@ -22,7 +22,7 @@ from mecoff.schedule import (
     mec_pipeline,
     placement_energy,
 )
-from mecoff.tune import tx_energy_total
+from oracles import tx_energy_total
 
 
 def make_channel(h=1.0, bw=1.0, n0=1.0):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecoff.allocate import MAX_TREE_DEPTH
 from mecoff.correlation import pearson
 from mecoff.errors import ConfigError
 from mecoff.methods import run_method
@@ -23,6 +22,7 @@ from mecoff.scenario import (
     save_config,
     synthesize_frames,
 )
+from mecoff.tune import MAX_TREE_DEPTH
 from oracles import reference_generate, reference_synthesize_frames
 
 
@@ -361,3 +361,11 @@ class TestNoiseDensity:
             sample_channel(np.random.default_rng(0), snr_db, bw, 1.0)
         with pytest.raises(ConfigError, match="snr setpoint"):
             small_config(target_snr_db=(10.0, snr_db), bw=bw).validate()
+
+    def test_noise_power_that_underflows(self):
+        # n0 = 1e-30 is finite and positive, but bw * n0, the divisor of
+        # snr, rounds to 0
+        with pytest.raises(ConfigError, match="snr setpoint"):
+            noise_density(300.0, 1e-300, 1e-300)
+        with pytest.raises(ConfigError, match="snr setpoint"):
+            small_config(target_snr_db=(300.0,), bw=1e-300, p_max=1e-300).validate()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecoff.allocate import enumerate_feasible, order_units
 import mecoff.tune
 from mecoff.errors import ConstraintViolationError, InvalidParameterError
 from mecoff.harness import cell_seed
@@ -19,14 +18,16 @@ from mecoff.schedule import (
     Violation,
     check_constraints,
     evaluate,
+    local_sequence,
 )
 from mecoff.tune import (
     F_MIN_FLOOR,
     TunedSolution,
+    enumerate_feasible,
     min_feasible_frequency,
     min_feasible_power,
     optimize_user,
-    tx_energy_total,
+    order_units,
 )
 from oracles import (
     bisect_min_frequency,
@@ -34,6 +35,7 @@ from oracles import (
     brute_force_feasible,
     exhaustive_best,
     grid_search_best,
+    tx_energy_total,
 )
 
 MEC = MecCaps(f_mec=20e9)
@@ -104,6 +106,14 @@ class TestMinFeasibleFrequency:
         us = [unit(0, w=1e8, deadline=0.1)]
         f = min_feasible_frequency(us, caps(user_deadline=10.0))
         assert f == pytest.approx(1e9, rel=1e-6)
+
+    def test_closed_form_that_underflows(self):
+        # f* = 1e-300 / 1e300 rounds to 0, and no clock is 0
+        us = [unit(0, w=1e-300, deadline=1e300)]
+        c = caps(user_deadline=1e300)
+        f = min_feasible_frequency(us, c)
+        assert 0 < f <= c.f_max
+        assert local_sequence(us, f)[0] <= 1e300
 
     def test_infeasible_when_cap_too_low(self):
         us = [unit(0, w=3e8, deadline=0.1)]
@@ -533,7 +543,7 @@ class TestBranchAndBoundAgainstExhaustive:
             assert solution_tuple(sol) == exhaustive_best(us, ch, MEC, c, tune=tune)
         ordered = order_units(us)
         fs = enumerate_feasible(ordered, ch, MEC, c)
-        assert len(set(fs.bits)) == len(fs)
+        assert len(set(fs.bits)) == len(fs.bits)
         assert set(fs.bits) == brute_force_feasible(ordered, c.f_max, c.p_max, ch, MEC, c)
 
     @pytest.mark.parametrize("snr_db", [0.0, 50.0])
@@ -604,7 +614,7 @@ class TestLeafScoringWork:
     @pytest.mark.parametrize("tune", [True, False])
     def test_once_per_solved_user(self, calls, tune):
         us, c = loose_user(), caps(user_deadline=2.0)
-        assert len(enumerate_feasible(order_units(us), channel(), MEC, c)) == 4096
+        assert len(enumerate_feasible(order_units(us), channel(), MEC, c).bits) == 4096
         assert optimize_user(us, channel(), MEC, c, tune=tune) is not None
         assert calls == Counter(evaluate=1, check=1)
 
@@ -619,7 +629,7 @@ class TestLeafScoringWork:
         # optimize_user looks the name up at call time, as the trace wraps it
         monkeypatch.setattr(mecoff.tune, "min_feasible_power", counted)
         us, c = loose_user(), caps(user_deadline=2.0)
-        leaves = len(enumerate_feasible(order_units(us), channel(), MEC, c))
+        leaves = len(enumerate_feasible(order_units(us), channel(), MEC, c).bits)
         assert leaves == 4096
         assert optimize_user(us, channel(), MEC, c) is not None
         assert 0 < tuned["leaves"] < 0.05 * leaves
