@@ -27,19 +27,6 @@ from .model import Unit
 _NORMAL_MIN = sys.float_info.min  # least positive normal double
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One time-indexed snapshot of a task's information source."""
-
-    task_label: int
-    epoch: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if len(self.data) < 2:
-            raise InvalidParameterError("frames need at least two samples")
-
-
 class FilterAction(Enum):
     PROCESS_FULL = "full"
     PROCESS_DIFF = "diff"
@@ -52,7 +39,8 @@ class FilterDecision:
 
     kept_fraction is the share of the frame's data and cycles still worth
     processing: 1 for a full pass, 0 for a skip, in between for a diff.
-    The first frame of a sequence references itself.
+    epoch and reference_epoch are row indices of the task's frame array;
+    the first frame references itself.
     """
 
     epoch: int
@@ -129,47 +117,44 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return _pearson_centred(_centre(xa), _centre(ya))
 
 
-def _check_frames(frames: Sequence[Frame]) -> None:
-    epochs = [fr.epoch for fr in frames]
-    if any(b <= a for a, b in zip(epochs, epochs[1:])):
-        raise InvalidParameterError("frames must be ordered by strictly increasing epoch")
-    shapes = {np.shape(fr.data) for fr in frames}
-    if len(shapes) > 1 or any(len(s) != 1 for s in shapes):
-        raise InvalidParameterError("frames must be 1-D and of equal length")
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _filter(frames: Sequence[Frame], alpha: float, beta: float) -> list[FilterDecision]:
+def _filter(frames: np.ndarray, alpha: float, beta: float) -> list[FilterDecision]:
     """The decision loop of both policies, as described in `filter_multi`.
 
-    Each frame is centred once; only the reference's centred copy outlives
+    Each row is centred once; only the reference's centred copy outlives
     its own iteration.
     """
-    _check_frames(frames)
+    try:
+        rows = np.asarray(frames, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, or not numbers at all
+        raise InvalidParameterError(f"frames must be numeric rows of equal length: {exc}") from exc
+    if rows.shape[:1] == (0,):  # zero frames
+        return []
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise InvalidParameterError("frames must be a 2-D array with at least two samples per row")
     out: list[FilterDecision] = []
     ref: tuple[np.ndarray, float] | None = None
-    for fr in frames:
-        cur = _centre(np.asarray(fr.data, dtype=float))
+    ref_epoch = 0  # the first frame references itself
+    for epoch, row in enumerate(rows):
+        cur = _centre(row)
         r = -np.inf  # the first frame and degenerate frames are processed fully
-        if ref is None:
-            ref_epoch = fr.epoch  # the first frame references itself
-        else:
+        if ref is not None:
             try:
                 r = _pearson_centred(ref, cur)
             except DegenerateSignalError:
                 pass
         if r > alpha:
-            out.append(FilterDecision(fr.epoch, FilterAction.SKIP, 0.0, ref_epoch))
+            out.append(FilterDecision(epoch, FilterAction.SKIP, 0.0, ref_epoch))
             continue
         if r > beta:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
+            out.append(FilterDecision(epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
         else:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
-        ref, ref_epoch = cur, fr.epoch
+            out.append(FilterDecision(epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
+        ref, ref_epoch = cur, epoch
     return out
 
 
-def filter_single(frames: Sequence[Frame], alpha: float) -> list[FilterDecision]:
+def filter_single(frames: np.ndarray, alpha: float) -> list[FilterDecision]:
     """Single-threshold policy: skip a frame when its correlation with the
     running reference strictly exceeds alpha, otherwise process it fully and
     make it the new reference. Degenerate (constant) frames are processed
@@ -180,8 +165,12 @@ def filter_single(frames: Sequence[Frame], alpha: float) -> list[FilterDecision]
     return _filter(frames, alpha, alpha)  # beta = alpha: the diff band is empty
 
 
-def filter_multi(frames: Sequence[Frame], alpha: float, beta: float) -> list[FilterDecision]:
+def filter_multi(frames: np.ndarray, alpha: float, beta: float) -> list[FilterDecision]:
     """Two-threshold policy.
+
+    `frames` is a task's (frames, samples) array, row i holding epoch i, or
+    anything np.asarray turns into one; InvalidParameterError unless it is
+    2-D with at least two samples per row. Zero frames give no decisions.
 
     Correlation r against the running reference selects the branch:
     r > alpha skips the frame (reference unchanged); beta < r <= alpha
@@ -245,9 +234,10 @@ def merge_shared_source(
 
     Expects dedup to have run already. The super-unit transmits the shared
     input once (d = max over members), computes everything (w = sum) and
-    inherits the tightest deadline, so placing it locally costs exactly what
-    the members would have cost. The returned map lists the member ids
-    folded into each super-unit.
+    inherits the tightest deadline. Offloaded, it sends the shared input
+    once; run locally, it must finish every member's cycles by the earliest
+    member deadline, so it can cost more than the members placed one by one
+    would. The returned map lists the member ids folded into each super-unit.
     """
     groups = fold_units(units, lambda u: (u.user, u.source_id), max, sum)
     merged = {rep.id: tuple(m.id for m in ms) for rep, ms in groups if len(ms) > 1}

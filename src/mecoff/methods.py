@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .correlation import Frame, dedup, filter_multi, filter_single, fold_units, merge_shared_source
+from .correlation import dedup, filter_multi, filter_single, fold_units, merge_shared_source
 from .errors import InvalidParameterError
 from .model import Unit
 from .scenario import Scenario
@@ -71,19 +71,9 @@ def _atomic_tasks(units: tuple[Unit, ...]) -> tuple[Unit, ...]:
     )
 
 
-def _filter_fraction(frames: tuple[Frame, ...], alpha: float, beta: float, mode: str) -> float:
-    """Mean kept fraction across a task's frame sequence."""
-    if len(frames) < 2:
-        return 1.0
-    if mode == "multi":
-        decisions = filter_multi(frames, alpha, beta)
-    else:
-        decisions = filter_single(frames, alpha)
-    return sum(d.kept_fraction for d in decisions) / len(decisions)
-
-
 def _time_filtered(scenario: Scenario, user_index: int) -> tuple[Unit, ...]:
-    """The user's units, each scaled by its task's kept fraction.
+    """The user's units, each scaled by its task's kept fraction: the mean
+    over the filter decisions of its frames, 1 for fewer than two frames.
 
     M4 and M5 filter the same frames with the same thresholds, so the result
     is kept on the scenario: the first method to ask filters this user.
@@ -93,10 +83,14 @@ def _time_filtered(scenario: Scenario, user_index: int) -> tuple[Unit, ...]:
     if units is None:
         cfg = scenario.config
         user = scenario.users[user_index]
-        fractions = {
-            task_id: _filter_fraction(frames, cfg.alpha, cfg.beta, cfg.filter_mode)
-            for task_id, frames in user.frames.items()
-        }
+        fractions = {}
+        for task_id, frames in user.frames.items():
+            if len(frames) >= 2:
+                if cfg.filter_mode == "multi":
+                    decisions = filter_multi(frames, cfg.alpha, cfg.beta)
+                else:
+                    decisions = filter_single(frames, cfg.alpha)
+                fractions[task_id] = sum(d.kept_fraction for d in decisions) / len(decisions)
         units = memo[user_index] = tuple(
             replace(u, d=u.d * fractions.get(u.task_id, 1.0), w=u.w * fractions.get(u.task_id, 1.0))
             for u in user.units

@@ -10,6 +10,7 @@ bit.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -17,7 +18,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .correlation import Frame
 from .errors import ConfigError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit
 from .tune import MAX_TREE_DEPTH
@@ -64,6 +64,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):  # counts must be whole: a fraction would be truncated or crash
+            v = getattr(self, f.name)
+            try:
+                if f.type == "int":
+                    operator.index(v)
+                elif f.type == "tuple[int, int]":
+                    list(map(operator.index, v))
+            except TypeError:
+                raise ConfigError(f"{f.name}: need integers, got {v!r}") from None
         if self.n_users < 1:
             raise ConfigError(f"n_users: must be >= 1, got {self.n_users}")
         for name in ("tasks_per_user", "units_per_task", "task_size", "cycle_density"):
@@ -136,7 +145,7 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class UserScenario:
     units: tuple[Unit, ...]
-    frames: Mapping[int, tuple[Frame, ...]]  # task_id -> frame sequence
+    frames: Mapping[int, np.ndarray]  # task_id -> (frames, samples) array, row i = epoch i
     channel: ChannelState
     n_tasks: int
 
@@ -180,18 +189,19 @@ def sample_channel(rng, target_snr_db: float, bw: float, p_max: float) -> Channe
     return ChannelState(h=h, bw=bw, n0=noise_density(target_snr_db, bw, p_max))
 
 
-def _exact_corr_partner(rng: np.random.Generator, x: np.ndarray, rho: float) -> np.ndarray:
-    """A vector whose sample Pearson correlation with x is exactly rho.
+def _exact_corr_partner(rng: np.random.Generator, x: np.ndarray, rho: float, out: np.ndarray):
+    """Fill `out` with a vector of sample Pearson correlation exactly rho with x.
 
     Mixes the standardized x with noise orthogonalized against it, so the
     realized coefficient is rho up to floating-point rounding. The noise is
-    worked on in place; each step rounds as its out-of-place form would.
+    drawn into `out` and worked on in place; each step rounds as its
+    out-of-place form would.
     """
     n = len(x)
     xn = x - np.add.reduce(x) / n  # what x.mean() computes
     xn /= math.sqrt(xn @ xn)
     for _ in range(16):
-        z = rng.standard_normal(n)
+        z = rng.standard_normal(n, out=out)
         z -= np.add.reduce(z) / n
         z -= (z @ xn) * xn
         nz = math.sqrt(z @ z)
@@ -199,7 +209,7 @@ def _exact_corr_partner(rng: np.random.Generator, x: np.ndarray, rho: float) -> 
             z /= nz
             z *= math.sqrt(max(0.0, 1.0 - rho * rho))
             z += rho * xn
-            return z
+            return
     raise RuntimeError("could not draw noise independent of the reference frame")
 
 
@@ -209,17 +219,19 @@ def synthesize_frames(
     length: int,
     rho_lo: float,
     rho_hi: float,
-) -> tuple[list[np.ndarray], list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     """Frame sequence whose consecutive pairs hit drawn correlation targets.
 
-    Returns (frames, targets); targets[i] is the planted coefficient between
-    frames i and i+1, realized exactly by construction.
+    Returns (frames, targets): frames is an (n_frames, length) array whose
+    rows are drawn in place, and targets[i] the planted coefficient between
+    rows i and i+1, realized exactly by construction.
     """
-    frames = [rng.standard_normal(length)]
+    frames = np.empty((n_frames, length))
+    rng.standard_normal(length, out=frames[0])
     targets: list[float] = []
-    for _ in range(n_frames - 1):
+    for i in range(1, n_frames):
         rho = float(rng.uniform(rho_lo, rho_hi + 0.0))  # numpy rejects the range (0.0, -0.0)
-        frames.append(_exact_corr_partner(rng, frames[-1], rho))
+        _exact_corr_partner(rng, frames[i - 1], rho, frames[i])
         targets.append(rho)
     return frames, targets
 
@@ -266,7 +278,7 @@ def generate(
         channel = sample_channel(rng, snr_db, config.bw, config.p_max)
         n_tasks = int(rng.integers(config.tasks_per_user[0], config.tasks_per_user[1] + 1))
         units: list[Unit] = []
-        frames: dict[int, tuple[Frame, ...]] = {}
+        frames: dict[int, np.ndarray] = {}
         next_type = 0
         next_source = 0
         for task in range(n_tasks):
@@ -319,11 +331,8 @@ def generate(
                     )
                 )
 
-            data, _ = synthesize_frames(
+            frames[task], _ = synthesize_frames(
                 rng, config.frames_per_task, config.frame_len, *config.frame_rho
-            )
-            frames[task] = tuple(
-                Frame(task_label=task, epoch=i, data=arr) for i, arr in enumerate(data)
             )
         users.append(
             UserScenario(units=tuple(units), frames=frames, channel=channel, n_tasks=n_tasks)
@@ -362,15 +371,11 @@ def _parse_float_tuple(v: str) -> tuple[float, ...]:
     return tuple(float(x) for x in v.split(","))
 
 
-def _parse_float_pair(v: str) -> tuple[float, float]:
-    parts = _parse_float_tuple(v)
+def _parse_pair(v: str, parse) -> tuple:
+    parts = tuple(parse(x) for x in v.split(","))
     if len(parts) != 2:
         raise ValueError("expected 'lo,hi'")
     return parts
-
-
-def _parse_int_pair(v: str) -> tuple[int, int]:
-    return tuple(int(x) for x in _parse_float_pair(v))
 
 
 # parser per field annotation, a string under `from __future__ import annotations`
@@ -378,8 +383,8 @@ _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "tuple[int, int]": _parse_int_pair,
-    "tuple[float, float]": _parse_float_pair,
+    "tuple[int, int]": lambda v: _parse_pair(v, int),
+    "tuple[float, float]": lambda v: _parse_pair(v, float),
     "tuple[float, ...]": _parse_float_tuple,
 }
 _FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ScenarioConfig)}

@@ -17,12 +17,14 @@ point passes `check_constraints` exactly.
 `branch_and_bound` decides the deadline-ordered units one per tree level
 (branch 1 offloads, branch 0 keeps local), carrying the pipeline state at
 the caps (f_max, p_max) so that extending a node costs O(1). A branch whose
-new unit misses its deadline is dropped; completion times are monotone in
-the prefix, so that cut is exact. A node also carries f_lb and r_lb, the
-closed forms over its decided prefix, with p_lb the power of r_lb. f* and
-p* never fall as units are added and p / r(p) rises with p, so the prefix
-energy kappa·W·f_lb² + p_lb·D / r(p_lb) bounds from below every completion,
-at its minimum clock and power or at the caps (which are no lower).
+new unit misses its deadline, capped by the user deadline, is dropped at
+that unit. Completion times never fall along a side, so this one test also
+carries the makespan constraint C3, and the cut is exact. A node also
+carries f_lb and r_lb, the closed forms over its decided prefix, with p_lb
+the power of r_lb. f* and p* never fall as units are added and p / r(p)
+rises with p, so the prefix energy kappa·W·f_lb² + p_lb·D / r(p_lb) bounds
+from below every completion, at its minimum clock and power or at the caps
+(which are no lower).
 
 `optimize_user` passes the best leaf energy scored so far as the incumbent;
 a node whose bound exceeds it by more than PRUNE_MARGIN (relative) is
@@ -209,8 +211,6 @@ def branch_and_bound(
     tx = [u.d / rate if rate > 0 else math.inf for u in units]
     tm = [u.w / mec.f_mec for u in units]
     tl = [u.w / f for u in units]
-    dl = [u.deadline for u in units]
-    t_user = caps.user_deadline
     dl_cap = _deadlines(units, caps)
     kappa = caps.kappa
 
@@ -232,20 +232,19 @@ def branch_and_bound(
         if incumbent is not None and e_loc + e_off > incumbent() * (1.0 + PRUNE_MARGIN):
             continue
         if depth == k:
-            if max(lt_m, lt_l) <= t_user:
-                yield bits
+            yield bits
             continue
         u = units[depth]
         # push local first so the offload branch is explored first
         new_l = lt_l + tl[depth]
-        if new_l <= dl[depth]:
+        if new_l <= dl_cap[depth]:
             w = w_loc + u.w
             f_new = max(f_lb, w / dl_cap[depth])
             stack.append((depth + 1, bits + (0,), fin_tx, lt_m, new_l,
                           w, f_new, local_floor(w, f_new), sent, busy, r_lb, e_off))
         new_tx = fin_tx + tx[depth]
         new_m = max(new_tx, lt_m) + tm[depth]
-        if new_m <= dl[depth]:
+        if new_m <= dl_cap[depth]:
             sent_new, busy_new, r_j = _rate_floor_step(sent, busy, u.d, tm[depth], dl_cap[depth])
             r_new = max(r_lb, r_j)
             stack.append((depth + 1, bits + (1,), new_tx, new_m, lt_l,

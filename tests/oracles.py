@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from mecoff.correlation import FilterAction, FilterDecision, Frame
+from mecoff.correlation import FilterAction, FilterDecision
 from mecoff.errors import ConfigError, DegenerateSignalError, InvalidParameterError
 from mecoff.harness import CSV_HEADER, SweepRow
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
@@ -289,30 +289,29 @@ def reference_pearson(x, y):
 
 
 def reference_filter(frames, alpha, beta):
-    """The running-reference filter of mecoff.correlation, calling
-    `reference_pearson` on the raw data of every (reference, frame) pair;
-    beta = alpha gives the single-threshold policy."""
-    epochs = [fr.epoch for fr in frames]
-    if any(b <= a for a, b in zip(epochs, epochs[1:])):
-        raise InvalidParameterError("frames must be ordered by strictly increasing epoch")
+    """The running-reference filter of mecoff.correlation over the rows of a
+    frame array (row i is epoch i), calling `reference_pearson` on the raw
+    rows of every (reference, frame) pair; beta = alpha gives the
+    single-threshold policy."""
+    rows = np.asarray(frames, dtype=float)
     out = []
     ref = None
-    for fr in frames:
+    for epoch, row in enumerate(rows):
         r = -np.inf
         if ref is not None:
             try:
-                r = reference_pearson(ref.data, fr.data)
+                r = reference_pearson(rows[ref], row)
             except DegenerateSignalError:
                 pass
-        ref_epoch = fr.epoch if ref is None else ref.epoch
+        ref_epoch = epoch if ref is None else ref
         if r > alpha:
-            out.append(FilterDecision(fr.epoch, FilterAction.SKIP, 0.0, ref_epoch))
+            out.append(FilterDecision(epoch, FilterAction.SKIP, 0.0, ref_epoch))
             continue
         if r > beta:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
+            out.append(FilterDecision(epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
         else:
-            out.append(FilterDecision(fr.epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
-        ref = fr
+            out.append(FilterDecision(epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
+        ref = epoch
     return out
 
 
@@ -460,7 +459,7 @@ def reference_generate(
         channel = _reference_channel(rng, snr_db, config.bw, config.p_max)
         n_tasks = int(rng.integers(config.tasks_per_user[0], config.tasks_per_user[1] + 1))
         units: list[Unit] = []
-        frames: dict[int, tuple[Frame, ...]] = {}
+        frames: dict[int, np.ndarray] = {}
         uid = 0
         next_type = 0
         next_source = 0
@@ -527,9 +526,7 @@ def reference_generate(
             data, _ = reference_synthesize_frames(
                 rng, config.frames_per_task, config.frame_len, *config.frame_rho
             )
-            frames[task] = tuple(
-                Frame(task_label=task, epoch=i, data=arr) for i, arr in enumerate(data)
-            )
+            frames[task] = np.array(data)
         users.append(
             UserScenario(units=tuple(units), frames=frames, channel=channel, n_tasks=n_tasks)
         )

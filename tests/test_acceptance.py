@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mecoff.correlation import FilterAction, Frame, filter_multi, filter_single, pearson
+from mecoff.correlation import FilterAction, filter_multi, filter_single, pearson
 from mecoff.harness import SweepSpec, render_csv, run_sweep
 from mecoff.methods import METHOD_IDS, run_method
 from mecoff.model import ChannelState, DeviceCaps, MecCaps, Unit, snr, uplink_rate
@@ -212,8 +212,8 @@ def test_criterion_6_trend_reproduction(trend_sweep):
 
 
 def _exact_corr_frames(spec_rels, length=128, seed=7):
-    """Frames whose correlation against a chosen earlier frame is planted
-    exactly; spec_rels[i] = (reference index, rho) for frame i+1."""
+    """A frame array whose row correlation against a chosen earlier row is
+    planted exactly; spec_rels[i] = (reference row, rho) for row i+1."""
     rng = np.random.default_rng(seed)
     frames = [rng.standard_normal(length)]
     for ref_idx, rho in spec_rels:
@@ -225,7 +225,7 @@ def _exact_corr_frames(spec_rels, length=128, seed=7):
         zc -= (zc @ xn) * xn
         zn = zc / np.linalg.norm(zc)
         frames.append(rho * xn + np.sqrt(1 - rho * rho) * zn)
-    return [Frame(task_label=0, epoch=i, data=v) for i, v in enumerate(frames)]
+    return np.array(frames)
 
 
 FULL, DIFF, SKIP = FilterAction.PROCESS_FULL, FilterAction.PROCESS_DIFF, FilterAction.SKIP

@@ -169,6 +169,12 @@ class TestNonFiniteAndExtremeInputs:
         ("p_max = inf\n", "p_max"),
         ("tasks_per_user = 1,inf\n", "tasks_per_user"),
         ("target_snr_db = 10,4000\n", "snr setpoint 4000.0"),
+        ("n_users = 2.5\n", "n_users"),
+        ("frames_per_task = 2.5\n", "frames_per_task"),
+        ("frame_len = 256.5\n", "frame_len"),
+        ("tasks_per_user = 1.5,2\n", "tasks_per_user"),
+        ("units_per_task = 2,2.5\n", "units_per_task"),
+        ("units_per_task = 2.9,3\n", "units_per_task"),
     ])
     def test_validate_config_names_the_field(self, tmp_path, capsys, text, field):
         path = tmp_path / "bad.cfg"
@@ -178,6 +184,15 @@ class TestNonFiniteAndExtremeInputs:
         assert err.startswith("error: ")
         assert field in err
         assert "Traceback" not in err
+
+    def test_fractional_count_is_refused_at_its_line(self, tmp_path, capsys):
+        # a count pair used to go through float and be truncated: 2.9 ran as 2
+        path = tmp_path / "bad.cfg"
+        path.write_text("n_users = 2\nunits_per_task = 2.9,3\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--reps", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: bad value for 'units_per_task'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["4000", "-4000"])
     def test_unrepresentable_snr_setpoint_is_reported(self, tmp_path, capsys, snr):

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from mecoff.correlation import (
     FilterAction,
-    Frame,
     dedup,
     filter_multi,
     filter_single,
@@ -38,10 +37,6 @@ def no_warning_escapes():
         warnings.simplefilter("always")
         yield
     assert [str(w.message) for w in caught] == []
-
-
-def frames_from(rows):
-    return [Frame(task_label=0, epoch=i, data=np.asarray(r, dtype=float)) for i, r in enumerate(rows)]
 
 
 def correlated_partner(rng, x, rho):
@@ -119,29 +114,29 @@ class TestFilterSingle:
         a2 = correlated_partner(rng, a1, 0.95)
         a3 = correlated_partner(rng, a1, 0.85)
         a4 = correlated_partner(rng, a3, 0.95)
-        frames = [Frame(0, i, x) for i, x in enumerate((a1, a2, a3, a4))]
-        decisions = filter_single(frames, alpha=0.9)
+        decisions = filter_single(np.array((a1, a2, a3, a4)), alpha=0.9)
         assert [d.action for d in decisions] == [FULL, SKIP, FULL, SKIP]
+        assert [d.epoch for d in decisions] == [0, 1, 2, 3]
         assert [d.reference_epoch for d in decisions] == [0, 0, 0, 2]
 
     def test_single_frame(self):
-        decisions = filter_single(frames_from([[1.0, 2.0, 3.0]]), alpha=0.9)
+        decisions = filter_single([[1.0, 2.0, 3.0]], alpha=0.9)
         assert [d.action for d in decisions] == [FULL]
         assert decisions[0].reference_epoch == 0
 
     def test_identical_frames_processed_once(self):
         rows = [[1.0, 5.0, 2.0, 4.0]] * 5
-        decisions = filter_single(frames_from(rows), alpha=0.9)
+        decisions = filter_single(rows, alpha=0.9)
         assert [d.action for d in decisions] == [FULL, SKIP, SKIP, SKIP, SKIP]
 
     def test_degenerate_frame_processed(self):
-        frames = frames_from([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]])
+        frames = [[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]]
         decisions = filter_single(frames, alpha=0.5)
         assert [d.action for d in decisions] == [FULL, FULL]
 
     def test_threshold_validation(self):
         with pytest.raises(InvalidParameterError):
-            filter_single(frames_from([[1.0, 2.0]]), alpha=1.0)
+            filter_single([[1.0, 2.0]], alpha=1.0)
 
 
 class TestFilterMulti:
@@ -150,7 +145,7 @@ class TestFilterMulti:
         rows = [rng.standard_normal(128)]
         for rho in rhos:
             rows.append(correlated_partner(rng, rows[-1], rho))
-        return [Frame(0, i, x) for i, x in enumerate(rows)]
+        return np.array(rows)
 
     def test_skip_branch(self):
         decisions = filter_multi(self.make([0.95]), alpha=0.9, beta=0.5)
@@ -180,12 +175,24 @@ class TestFilterMulti:
         [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]],
         [[1.0, 2.0, 3.0], [1.0, 2.0]],
         [[[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]]],
-    ], ids=["longer", "shorter", "2-D"])
+        [1.0, 2.0, 3.0],
+        np.array([[1.0], [2.0], [3.0]]),
+        [np.arange(3.0), np.arange(3.0), np.arange(4.0)],
+        2.0,
+        [[1.0, 2.0], ["a", "b"]],
+    ], ids=["longer", "shorter", "2-D", "1-D", "one-sample", "ragged", "scalar", "not-numbers"])
     def test_frames_of_another_shape_rejected(self, rows):
+        # InvalidParameterError is a ValueError: pytest.raises pins the
+        # subclass, so numpy's own ValueError for ragged rows fails here
         with pytest.raises(InvalidParameterError):
-            filter_multi(frames_from(rows), alpha=0.9, beta=0.5)
+            filter_multi(rows, alpha=0.9, beta=0.5)
         with pytest.raises(InvalidParameterError):
-            filter_single(frames_from(rows), alpha=0.9)
+            filter_single(rows, alpha=0.9)
+
+    @pytest.mark.parametrize("frames", [[], (), np.empty((0, 8))], ids=["list", "tuple", "array"])
+    def test_zero_frames_give_no_decisions(self, frames):
+        assert filter_multi(frames, alpha=0.9, beta=0.5) == []
+        assert filter_single(frames, alpha=0.9) == []
 
     @given(st.lists(st.floats(-0.5, 0.999), min_size=1, max_size=8), st.integers(0, 1000))
     @settings(max_examples=100, deadline=None)
@@ -219,14 +226,14 @@ class TestNonFiniteFrames:
         rows = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.5]]
         rows[position] = row
         with pytest.raises(InvalidParameterError):
-            filter_multi(frames_from(rows), alpha=0.9, beta=0.5)
+            filter_multi(rows, alpha=0.9, beta=0.5)
         with pytest.raises(InvalidParameterError):
-            filter_single(frames_from(rows), alpha=0.9)
+            filter_single(rows, alpha=0.9)
 
     def test_constant_frame_is_still_degenerate(self):
         with pytest.raises(DegenerateSignalError):
             pearson([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
-        decisions = filter_multi(frames_from([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]]), 0.9, 0.5)
+        decisions = filter_multi([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]], 0.9, 0.5)
         assert [d.action for d in decisions] == [FULL, FULL]
 
 
@@ -250,7 +257,7 @@ class TestConstantFrames:
     @CONSTANTS
     @LENGTHS
     def test_filters_process_the_second_frame_fully(self, c, n):
-        frames = frames_from([[c] * n, [c] * n])
+        frames = [[c] * n, [c] * n]
         assert [d.action for d in filter_multi(frames, 0.9, 0.5)] == [FULL, FULL]
         assert [d.action for d in filter_single(frames, 0.9)] == [FULL, FULL]
 
@@ -269,7 +276,7 @@ class TestConstantFrames:
             pearson([c] * n, np.arange(n, dtype=float))
         with pytest.raises(DegenerateSignalError):
             pearson(np.arange(n, dtype=float), [c] * n)
-        frames = frames_from([[c] * n, [c] * n])
+        frames = [[c] * n, [c] * n]
         assert [d.action for d in filter_multi(frames, 0.9, 0.5)] == [FULL, FULL]
         assert [d.action for d in filter_single(frames, 0.9)] == [FULL, FULL]
 
@@ -282,7 +289,8 @@ class TestConstantFrames:
 
 @st.composite
 def frame_sequences(draw):
-    """Synthesized frames, some replaced by constant or repeated frames."""
+    """A synthesized frame array, some rows replaced by constant or repeated
+    rows."""
     length = draw(st.integers(3, 512))
     rho = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
     rho_lo, rho_hi = sorted((draw(rho), draw(rho)))
@@ -294,8 +302,8 @@ def frame_sequences(draw):
         if kind == "constant":
             rows[i] = np.full(length, draw(st.floats(-10.0, 10.0)))
         elif kind == "repeat" and i:
-            rows[i] = rows[i - 1].copy()
-    return [Frame(0, i, x) for i, x in enumerate(rows)]
+            rows[i] = rows[i - 1]
+    return rows
 
 
 class TestFilterMatchesReference:

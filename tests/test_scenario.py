@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mecoff.correlation import pearson
 from mecoff.errors import ConfigError
+from mecoff.harness import SweepSpec, run_sweep
 from mecoff.methods import run_method
 from mecoff.model import snr
 from mecoff.scenario import (
@@ -47,12 +48,8 @@ def scenarios_equal(a: Scenario, b: Scenario) -> bool:
             return False
         if set(ua.frames) != set(ub.frames):
             return False
-        for t in ua.frames:
-            for fa, fb in zip(ua.frames[t], ub.frames[t]):
-                if (fa.task_label, fa.epoch) != (fb.task_label, fb.epoch):
-                    return False
-                if not np.array_equal(fa.data, fb.data):
-                    return False
+        if not all(np.array_equal(ua.frames[t], ub.frames[t]) for t in ua.frames):
+            return False
     return True
 
 
@@ -79,7 +76,7 @@ class TestSynthesizeFrames:
     def test_planted_correlations_exact(self):
         rng = np.random.default_rng(1)
         frames, targets = synthesize_frames(rng, 6, 256, 0.3, 0.99)
-        assert len(frames) == 6 and len(targets) == 5
+        assert frames.shape == (6, 256) and len(targets) == 5
         for x, y, rho in zip(frames, frames[1:], targets):
             assert pearson(x, y) == pytest.approx(rho, abs=0.05)  # exact by construction
             assert pearson(x, y) == pytest.approx(rho, abs=1e-9)
@@ -87,7 +84,7 @@ class TestSynthesizeFrames:
     def test_signed_zero_range_draws_zero(self):
         # 0.0 <= -0.0 holds, so the config validates; the draw must not fail
         frames, targets = synthesize_frames(np.random.default_rng(3), 3, 8, 0.0, -0.0)
-        assert len(frames) == 3 and targets == [0.0, 0.0]
+        assert frames.shape == (3, 8) and targets == [0.0, 0.0]
 
     @given(
         st.integers(0, 2**32),
@@ -104,6 +101,7 @@ class TestSynthesizeFrames:
         ref_frames, ref_targets = reference_synthesize_frames(
             ref_rng, n_frames, length, rho_lo, rho_hi
         )
+        assert frames.shape == (n_frames, length) and frames.flags.c_contiguous
         assert [f.tobytes() for f in frames] == [f.tobytes() for f in ref_frames]
         assert targets == ref_targets
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -151,8 +149,8 @@ class TestGenerate:
             for u in user.units:
                 assert u.deadline in cfg.deadlines
             for t, frames in user.frames.items():
-                assert len(frames) == cfg.frames_per_task
-                assert all(len(fr.data) == cfg.frame_len for fr in frames)
+                assert frames.shape == (cfg.frames_per_task, cfg.frame_len)
+                assert frames.dtype == np.float64 and frames.flags.c_contiguous
 
     def test_zero_fractions_mean_no_correlation(self):
         cfg = small_config(dup_unit_fraction=0.0, shared_source_fraction=0.0, seed=2)
@@ -240,9 +238,8 @@ class TestGenerateAgainstReference:
             assert user.n_tasks == ref_user.n_tasks
             assert sorted(user.frames) == sorted(ref_user.frames)
             for task, seq in user.frames.items():
-                assert [(f.task_label, f.epoch, f.data.tobytes()) for f in seq] == [
-                    (f.task_label, f.epoch, f.data.tobytes()) for f in ref_user.frames[task]
-                ]
+                ref_seq = ref_user.frames[task]
+                assert (seq.shape, seq.tobytes()) == (ref_seq.shape, ref_seq.tobytes())
         assert (sc.caps, sc.mec, sc.snr_db) == (ref.caps, ref.mec, ref.snr_db)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -275,9 +272,32 @@ class TestValidateRejectsUnrunnableConfigs:
         for seed in range(5):
             sc = generate(cfg, seed=seed)
             assert all(
-                len(f.data) == frame_len
-                for user in sc.users for frames in user.frames.values() for f in frames
+                frames.shape == (frames_per_task, frame_len)
+                for user in sc.users for frames in user.frames.values()
             )
+
+
+class TestValidateRejectsNonIntegralCounts:
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", 2.5),
+        ("frames_per_task", 2.5),
+        ("frame_len", 256.5),
+        ("seed", 1.0),
+        ("tasks_per_user", (1.5, 2)),
+        ("units_per_task", (2, 2.5)),
+        ("units_per_task", 3),
+    ])
+    def test_field_is_named(self, field, value):
+        cfg = small_config(**{field: value})
+        with pytest.raises(ConfigError, match=f"^{field}: need integers"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            run_sweep(SweepSpec(config=cfg, methods=("M1",), replications=1))
+
+    def test_numpy_integers_are_counts(self):
+        cfg = small_config(n_users=np.int64(2), units_per_task=(np.int64(2), 3))
+        cfg.validate()
+        assert len(generate(cfg).users) == 2
 
 
 class TestConfigIo:
