@@ -49,28 +49,34 @@ class FilterDecision:
     reference_epoch: int
 
     def __post_init__(self):
-        ok = {
-            FilterAction.SKIP: self.kept_fraction == 0.0,
-            FilterAction.PROCESS_FULL: self.kept_fraction == 1.0,
-            FilterAction.PROCESS_DIFF: 0.0 < self.kept_fraction < 1.0,
-        }[self.action]
+        kept, action = self.kept_fraction, self.action
+        diff = 0.0 < kept < 1.0  # first, so a kept_fraction that does not compare raises TypeError
+        if action is FilterAction.SKIP:
+            ok = kept == 0.0
+        elif action is FilterAction.PROCESS_FULL:
+            ok = kept == 1.0
+        elif action is FilterAction.PROCESS_DIFF:
+            ok = diff
+        else:
+            raise KeyError(action)
         if not ok:
             raise InvalidParameterError(
                 f"kept_fraction {self.kept_fraction} inconsistent with {self.action}"
             )
 
 
-def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
+def _centre(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(x - mean(x), squared norm of that): one frame's share of a Pearson
-    coefficient. The mean is sum/n, the float operations of ndarray.mean.
-    A frame whose finite samples are all equal gets a squared norm of exactly 0.
+    coefficient, the centred copy written into `out` when given. The mean is
+    sum/n, the float operations of ndarray.mean. A frame whose finite
+    samples are all equal gets a squared norm of exactly 0.
 
     Raises InvalidParameterError when a sample is not finite or the squared
     norm of a non-constant frame overflows; such a frame has no correlation.
     """
     n = len(x)
     mean = float(np.add.reduce(x) / n)
-    xc = x - mean
+    xc = np.subtract(x, mean, out=out)
     sx = float(xc @ xc)
     if not sx < math.inf:  # nan or inf: a non-finite sample, or overflow
         if math.isfinite(x[0]) and x.min() == x.max():  # constant, but its sum overflowed
@@ -101,6 +107,36 @@ def _pearson_centred(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -
     return max(-1.0, min(1.0, r))
 
 
+class RunningFilter:
+    """The decision loop of both policies, as described in `filter_multi`,
+    fed one frame at a time as its `_centre` pair (centred copy, squared
+    norm). It keeps its own copy of the running reference's centred row, so
+    a producer may reuse its buffers."""
+
+    def __init__(self, alpha: float, beta: float):
+        self.alpha, self.beta = alpha, beta
+        self.epoch = 0
+        self.ref: tuple[np.ndarray, float] | None = None
+        self.ref_epoch = 0  # the first frame references itself
+
+    def push(self, xc: np.ndarray, sx: float) -> FilterDecision:
+        epoch, self.epoch = self.epoch, self.epoch + 1
+        r = -math.inf  # the first frame and degenerate frames are processed fully
+        if self.ref is not None:
+            try:
+                r = _pearson_centred(self.ref, (xc, sx))
+            except DegenerateSignalError:
+                pass
+        if r > self.alpha:
+            return FilterDecision(epoch, FilterAction.SKIP, 0.0, self.ref_epoch)
+        if r > self.beta:
+            decision = FilterDecision(epoch, FilterAction.PROCESS_DIFF, 1.0 - r, self.ref_epoch)
+        else:
+            decision = FilterDecision(epoch, FilterAction.PROCESS_FULL, 1.0, self.ref_epoch)
+        self.ref, self.ref_epoch = (xc.copy(), sx), epoch
+        return decision
+
+
 # `_centre` classifies overflowing and non-finite frames itself, so numpy's
 # warnings for them are silenced once per call of the two callers below.
 @np.errstate(over="ignore", invalid="ignore")
@@ -119,11 +155,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _filter(frames: np.ndarray, alpha: float, beta: float) -> list[FilterDecision]:
-    """The decision loop of both policies, as described in `filter_multi`.
-
-    Each row is centred once; only the reference's centred copy outlives
-    its own iteration.
-    """
+    """`RunningFilter` over the rows of a frame array, each centred once."""
     try:
         rows = np.asarray(frames, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows, or not numbers at all
@@ -132,26 +164,8 @@ def _filter(frames: np.ndarray, alpha: float, beta: float) -> list[FilterDecisio
         return []
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise InvalidParameterError("frames must be a 2-D array with at least two samples per row")
-    out: list[FilterDecision] = []
-    ref: tuple[np.ndarray, float] | None = None
-    ref_epoch = 0  # the first frame references itself
-    for epoch, row in enumerate(rows):
-        cur = _centre(row)
-        r = -np.inf  # the first frame and degenerate frames are processed fully
-        if ref is not None:
-            try:
-                r = _pearson_centred(ref, cur)
-            except DegenerateSignalError:
-                pass
-        if r > alpha:
-            out.append(FilterDecision(epoch, FilterAction.SKIP, 0.0, ref_epoch))
-            continue
-        if r > beta:
-            out.append(FilterDecision(epoch, FilterAction.PROCESS_DIFF, 1.0 - r, ref_epoch))
-        else:
-            out.append(FilterDecision(epoch, FilterAction.PROCESS_FULL, 1.0, ref_epoch))
-        ref, ref_epoch = cur, epoch
-    return out
+    running = RunningFilter(alpha, beta)
+    return [running.push(*_centre(row)) for row in rows]
 
 
 def filter_single(frames: np.ndarray, alpha: float) -> list[FilterDecision]:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .correlation import dedup, filter_multi, filter_single, fold_units, merge_shared_source
+from .correlation import dedup, fold_units, merge_shared_source
 from .errors import InvalidParameterError
 from .model import Unit
-from .scenario import Scenario
-# Not called here, but bench/layers.py traces these two names at this binding.
+from .scenario import Scenario, UserScenario
+# Not called here, but bench/layers.py traces these names at this binding.
+from .correlation import filter_multi, filter_single  # noqa: F401
 from .schedule import evaluate  # noqa: F401
 from .tune import enumerate_feasible  # noqa: F401
 from .tune import TunedSolution, optimize_user
@@ -71,31 +72,11 @@ def _atomic_tasks(units: tuple[Unit, ...]) -> tuple[Unit, ...]:
     )
 
 
-def _time_filtered(scenario: Scenario, user_index: int) -> tuple[Unit, ...]:
+def _time_filtered(user: UserScenario) -> tuple[Unit, ...]:
     """The user's units, each scaled by its task's kept fraction: the mean
-    over the filter decisions of its frames, 1 for fewer than two frames.
-
-    M4 and M5 filter the same frames with the same thresholds, so the result
-    is kept on the scenario: the first method to ask filters this user.
-    """
-    memo = scenario._filtered_units
-    units = memo.get(user_index)
-    if units is None:
-        cfg = scenario.config
-        user = scenario.users[user_index]
-        fractions = {}
-        for task_id, frames in user.frames.items():
-            if len(frames) >= 2:
-                if cfg.filter_mode == "multi":
-                    decisions = filter_multi(frames, cfg.alpha, cfg.beta)
-                else:
-                    decisions = filter_single(frames, cfg.alpha)
-                fractions[task_id] = sum(d.kept_fraction for d in decisions) / len(decisions)
-        units = memo[user_index] = tuple(
-            replace(u, d=u.d * fractions.get(u.task_id, 1.0), w=u.w * fractions.get(u.task_id, 1.0))
-            for u in user.units
-        )
-    return units
+    of its frames' kept fractions, taken as `generate` drew the frames."""
+    scale = {task: sum(kept) / len(kept) for task, kept in user.kept.items()}
+    return tuple(replace(u, d=u.d * scale[u.task_id], w=u.w * scale[u.task_id]) for u in user.units)
 
 
 def run_method(method_id: str, scenario: Scenario, user_index: int) -> MethodResult:
@@ -108,7 +89,7 @@ def run_method(method_id: str, scenario: Scenario, user_index: int) -> MethodRes
 
     work = user.units
     if method.time_filter:
-        work = _time_filtered(scenario, user_index)
+        work = _time_filtered(user)
     if method.atomic:
         work = _atomic_tasks(work)
     if method.reduce:

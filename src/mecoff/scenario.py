@@ -2,9 +2,9 @@
 
 A scenario is a pure function of (config, snr setpoint, seed): per user a
 Rayleigh channel draw, a handful of tasks split into units, and per task a
-frame sequence with planted pairwise correlations. All randomness flows
-through one numpy Generator, so equal seeds reproduce scenarios bit for
-bit.
+frame sequence with planted pairwise correlations, filtered as it is drawn.
+All randomness flows through one numpy Generator, so equal seeds reproduce
+scenarios bit for bit.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
+from .correlation import RunningFilter, _centre
 from .errors import ConfigError
 from .model import ChannelState, DeviceCaps, MecCaps, Unit
 from .tune import MAX_TREE_DEPTH
@@ -145,7 +146,8 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class UserScenario:
     units: tuple[Unit, ...]
-    frames: Mapping[int, np.ndarray]  # task_id -> (frames, samples) array, row i = epoch i
+    frames: Mapping[int, np.ndarray]  # task_id -> (frames, samples) array, re-drawn per read
+    kept: Mapping[int, tuple[float, ...]]  # task_id -> kept fraction of each epoch's frame
     channel: ChannelState
     n_tasks: int
 
@@ -157,11 +159,6 @@ class Scenario:
     users: tuple[UserScenario, ...]
     caps: DeviceCaps
     mec: MecCaps
-    # user index -> time-filtered units, filled by the first method that
-    # filters that user (see methods._time_filtered)
-    _filtered_units: dict[int, tuple[Unit, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
 
 def noise_density(snr_db: float, bw: float, p_max: float) -> float:
@@ -189,28 +186,43 @@ def sample_channel(rng, target_snr_db: float, bw: float, p_max: float) -> Channe
     return ChannelState(h=h, bw=bw, n0=noise_density(target_snr_db, bw, p_max))
 
 
-def _exact_corr_partner(rng: np.random.Generator, x: np.ndarray, rho: float, out: np.ndarray):
-    """Fill `out` with a vector of sample Pearson correlation exactly rho with x.
+def _draw_rows(rng: np.random.Generator, rows: np.ndarray, n_frames: int, rho_lo: float,
+               rho_hi: float):
+    """Draw n_frames frames, frame i into rows[i % len(rows)], and yield per
+    frame (rho, its `_centre` pair): rho is the drawn correlation target with
+    the frame before (None for the first), the pair the frame's centred copy,
+    valid until the next frame is drawn, and squared norm.
 
-    Mixes the standardized x with noise orthogonalized against it, so the
-    realized coefficient is rho up to floating-point rounding. The noise is
-    drawn into `out` and worked on in place; each step rounds as its
-    out-of-place form would.
+    A frame after the first mixes its predecessor, centred and normalised,
+    with noise orthogonalized against it, so the realized sample Pearson
+    coefficient is rho up to floating-point rounding. The noise is drawn into
+    the frame's row and worked on in place, with two scratch rows for the
+    rest; each step rounds as its out-of-place form would.
     """
-    n = len(x)
-    xn = x - np.add.reduce(x) / n  # what x.mean() computes
-    xn /= math.sqrt(xn @ xn)
-    for _ in range(16):
-        z = rng.standard_normal(n, out=out)
-        z -= np.add.reduce(z) / n
-        z -= (z @ xn) * xn
-        nz = math.sqrt(z @ z)
-        if nz > 1e-9:
-            z /= nz
-            z *= math.sqrt(max(0.0, 1.0 - rho * rho))
-            z += rho * xn
+    n = rows.shape[1]
+    xn, tmp = np.empty(n), np.empty(n)
+    rng.standard_normal(n, out=rows[0])
+    rho = None
+    for i in range(n_frames):
+        xc, sx = _centre(rows[i % len(rows)], out=xn)
+        yield rho, (xc, sx)
+        if i + 1 == n_frames:
             return
-    raise RuntimeError("could not draw noise independent of the reference frame")
+        rho = float(rng.uniform(rho_lo, rho_hi + 0.0))  # numpy rejects the range (0.0, -0.0)
+        xn /= math.sqrt(sx)
+        z = rows[(i + 1) % len(rows)]
+        for _ in range(16):
+            rng.standard_normal(n, out=z)
+            z -= np.add.reduce(z) / n
+            z -= np.multiply(xn, z @ xn, out=tmp)
+            nz = math.sqrt(z @ z)
+            if nz > 1e-9:
+                break
+        else:
+            raise RuntimeError("could not draw noise independent of the reference frame")
+        z /= nz
+        z *= math.sqrt(max(0.0, 1.0 - rho * rho))
+        z += np.multiply(xn, rho, out=tmp)
 
 
 def synthesize_frames(
@@ -227,13 +239,33 @@ def synthesize_frames(
     rows i and i+1, realized exactly by construction.
     """
     frames = np.empty((n_frames, length))
-    rng.standard_normal(length, out=frames[0])
-    targets: list[float] = []
-    for i in range(1, n_frames):
-        rho = float(rng.uniform(rho_lo, rho_hi + 0.0))  # numpy rejects the range (0.0, -0.0)
-        _exact_corr_partner(rng, frames[i - 1], rho, frames[i])
-        targets.append(rho)
-    return frames, targets
+    targets = [rho for rho, _ in _draw_rows(rng, frames, n_frames, rho_lo, rho_hi)]
+    return frames, targets[1:]
+
+
+class _FrameDraws(Mapping):
+    """task_id -> the task's frame array, as `synthesize_frames` returns it.
+
+    Only the bit-generator state before each task's first frame is kept
+    (`states`: task_id -> (bit generator class, state)): every read
+    re-draws the whole array, at the cost of the draw in `generate`, and
+    returns a fresh array.
+    """
+
+    def __init__(self, shape: tuple[int, int], rho: tuple[float, float], states: dict):
+        self.shape, self.rho, self.states = shape, rho, states
+
+    def __getitem__(self, task: int) -> np.ndarray:
+        cls, state = self.states[task]
+        bit_generator = cls()
+        bit_generator.state = state
+        return synthesize_frames(np.random.Generator(bit_generator), *self.shape, *self.rho)[0]
+
+    def __iter__(self):
+        return iter(self.states)
+
+    def __len__(self) -> int:
+        return len(self.states)
 
 
 def _split_size(rng: np.random.Generator, total: int, n: int) -> list[int]:
@@ -272,13 +304,16 @@ def generate(
         user_deadline=config.user_deadline,
     )
     mec = MecCaps(f_mec=config.f_mec)
+    beta = config.beta if config.filter_mode == "multi" else config.alpha  # single: no diff band
+    rows = np.empty((2, config.frame_len))  # each task's frames are filtered as they are drawn
 
     users: list[UserScenario] = []
     for user in range(config.n_users):
         channel = sample_channel(rng, snr_db, config.bw, config.p_max)
         n_tasks = int(rng.integers(config.tasks_per_user[0], config.tasks_per_user[1] + 1))
         units: list[Unit] = []
-        frames: dict[int, np.ndarray] = {}
+        states: dict[int, tuple[type, dict]] = {}
+        kept: dict[int, tuple[float, ...]] = {}
         next_type = 0
         next_source = 0
         for task in range(n_tasks):
@@ -331,12 +366,12 @@ def generate(
                     )
                 )
 
-            frames[task], _ = synthesize_frames(
-                rng, config.frames_per_task, config.frame_len, *config.frame_rho
-            )
-        users.append(
-            UserScenario(units=tuple(units), frames=frames, channel=channel, n_tasks=n_tasks)
-        )
+            states[task] = (type(rng.bit_generator), rng.bit_generator.state)
+            running = RunningFilter(config.alpha, beta)
+            draws = _draw_rows(rng, rows, config.frames_per_task, *config.frame_rho)
+            kept[task] = tuple(running.push(*pair).kept_fraction for _, pair in draws)
+        frames = _FrameDraws((config.frames_per_task, config.frame_len), config.frame_rho, states)
+        users.append(UserScenario(tuple(units), frames, kept, channel, n_tasks))
     return Scenario(config=config, snr_db=float(snr_db), users=tuple(users), caps=caps, mec=mec)
 
 
@@ -420,13 +455,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def save_config(config: ScenarioConfig, path: str | Path) -> None:
-    """Inverse of load_config; writes every field."""
+    """Inverse of load_config; writes every field as plain Python values,
+    cast through the field's annotation (so numpy scalars round-trip too)."""
     lines = []
-    for key, value in asdict(config).items():
-        if isinstance(value, tuple):
-            rendered = ",".join(repr(v) for v in value)
-        else:
-            rendered = repr(value) if not isinstance(value, str) else value
-        lines.append(f"{key} = {rendered}")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        cast = int if "int" in f.type else float if "float" in f.type else str
+        values = value if f.type.startswith("tuple") else (value,)
+        lines.append(f"{f.name} = {','.join(str(cast(v)) for v in values)}")  # str(float) is repr
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -14,6 +14,11 @@ p* = expm1(r* ln2 / bw) / gain. `min_feasible_frequency` and
 past the cap) until `local_sequence` / `mec_pipeline` accept it, so the
 point passes `check_constraints` exactly.
 
+Units are processed in one fixed order, by deadline (ties by id,
+`order_units`); the order is never searched. A two-stage FIFO pipeline is
+not always cheapest in deadline order, so loosening one unit's deadline can
+move it later in the order and raise the user's optimum.
+
 `branch_and_bound` decides the deadline-ordered units one per tree level
 (branch 1 offloads, branch 0 keeps local), carrying the pipeline state at
 the caps (f_max, p_max) so that extending a node costs O(1). A branch whose

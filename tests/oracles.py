@@ -12,7 +12,8 @@ a Pearson coefficient, through `mean`, for every (reference, frame) pair.
 The task-domain references are the three group-and-fold loops (dedup,
 shared-source merge, M1/M2's task atoms), one hand-written loop each.
 The scenario reference is the plain form of `generate`: the planted unit
-as a tagged (kind, unit) pair and each unit's cycles from a closure.
+as a tagged (kind, unit) pair, each unit's cycles from a closure, and each
+task's frames stored whole and then filtered by `reference_filter`.
 `tx_energy_total` is the transmit energy in its log_eta(2) form, against
 which the p·d/r of `placement_energy` is checked, and `load_rows` parses a
 results.csv back into rows.
@@ -242,7 +243,7 @@ def exhaustive_best(units, ch, mec, caps, *, tune=True):
 
 def reference_corr_partner(rng, x, rho):
     """A vector whose sample Pearson correlation with x is rho; the same RNG
-    calls in the same order as mecoff.scenario._exact_corr_partner."""
+    calls in the same order as the draw loop of mecoff.scenario.synthesize_frames."""
     xc = x - x.mean()
     xn = xc / np.linalg.norm(xc)
     for _ in range(16):
@@ -460,6 +461,7 @@ def reference_generate(
         n_tasks = int(rng.integers(config.tasks_per_user[0], config.tasks_per_user[1] + 1))
         units: list[Unit] = []
         frames: dict[int, np.ndarray] = {}
+        kept: dict[int, tuple[float, ...]] = {}
         uid = 0
         next_type = 0
         next_source = 0
@@ -527,8 +529,13 @@ def reference_generate(
                 rng, config.frames_per_task, config.frame_len, *config.frame_rho
             )
             frames[task] = np.array(data)
+            beta = config.beta if config.filter_mode == "multi" else config.alpha
+            kept[task] = tuple(
+                d.kept_fraction for d in reference_filter(frames[task], config.alpha, beta)
+            )
         users.append(
-            UserScenario(units=tuple(units), frames=frames, channel=channel, n_tasks=n_tasks)
+            UserScenario(units=tuple(units), frames=frames, kept=kept, channel=channel,
+                         n_tasks=n_tasks)
         )
     return Scenario(config=config, snr_db=float(snr_db), users=tuple(users), caps=caps, mec=mec)
 

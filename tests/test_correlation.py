@@ -8,6 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from mecoff.correlation import (
     FilterAction,
+    FilterDecision,
+    RunningFilter,
+    _centre,
     dedup,
     filter_multi,
     filter_single,
@@ -317,6 +320,43 @@ class TestFilterMatchesReference:
         if beta < alpha:
             assert filter_multi(frames, alpha, beta) == reference_filter(frames, alpha, beta)
         assert filter_single(frames, alpha) == reference_filter(frames, alpha, alpha)
+
+
+class TestRunningFilter:
+    @given(frame_sequences(), st.floats(0.01, 0.99))
+    @settings(max_examples=50, deadline=None)
+    def test_producer_may_reuse_its_buffer(self, frames, alpha):
+        # one scratch row for every frame's centred copy, as generate's draw does
+        running, scratch = RunningFilter(alpha, alpha / 2), np.empty(frames.shape[1])
+        streamed = [running.push(*_centre(row, out=scratch)) for row in frames]
+        assert streamed == filter_multi(frames, alpha, alpha / 2)
+
+
+def _dict_checked_decision(epoch, action, kept_fraction, reference_epoch):
+    """FilterDecision's consistency check as a table keyed by action, the
+    form it replaced."""
+    ok = {
+        SKIP: kept_fraction == 0.0,
+        FULL: kept_fraction == 1.0,
+        DIFF: 0.0 < kept_fraction < 1.0,
+    }[action]
+    if not ok:
+        raise InvalidParameterError(f"kept_fraction {kept_fraction} inconsistent with {action}")
+
+
+class TestFilterDecisionCheck:
+    @pytest.mark.parametrize("action", [SKIP, FULL, DIFF, "skip", None])
+    @pytest.mark.parametrize("kept", [0.0, -0.0, 1.0, 0.5, 1e-300, 1 - 2**-53, -0.5, 1.5,
+                                      float("nan"), float("inf"), 0, 1, None, "0.5"])
+    def test_same_exception_as_the_table(self, action, kept):
+        def outcome(make):
+            try:
+                make(3, action, kept, 1)
+            except Exception as exc:  # the outcome compared is the exception's type
+                return type(exc)
+            return None
+
+        assert outcome(FilterDecision) is outcome(_dict_checked_decision)
 
 
 def make_unit(uid, type_id, source_id, d=1e6, w=2e8, deadline=0.1, user=0, task=0):

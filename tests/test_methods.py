@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+import mecoff.correlation
 import mecoff.methods
 from mecoff.cli import main
 from mecoff.harness import SweepSpec, cell_seed, run_sweep
@@ -139,21 +140,20 @@ class TestMethodSemantics:
 
 
 class TestFilterSharedByM4AndM5:
-    @pytest.mark.parametrize("mode, name", [("multi", "filter_multi"), ("single", "filter_single")])
-    def test_filter_runs_once_per_cell_and_user(self, monkeypatch, mode, name):
+    @pytest.mark.parametrize("mode", ["multi", "single"])
+    def test_sweep_makes_no_filter_call(self, monkeypatch, mode):
+        # the frames are filtered as generate draws them; M4 and M5 read `kept`
         calls = []
-        real = getattr(mecoff.methods, name)
-        monkeypatch.setattr(mecoff.methods, name, lambda *a: calls.append(1) or real(*a))
+        for module in (mecoff.methods, mecoff.correlation):
+            for name in ("filter_multi", "filter_single"):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         cfg = replace(demo_config(seed=3), filter_mode=mode)
         spec = SweepSpec(config=cfg, methods=("M4", "M5"), snr_points_db=(20.0, 40.0),
                          replications=3, seed=3)
-        run_sweep(spec)
-        expected = 0
-        for si, snr_db in enumerate(spec.snr_points):
-            for ri in range(spec.replications):
-                sc = generate(cfg, snr_db, cell_seed(spec.seed, si, ri))
-                expected += sum(len(f) >= 2 for user in sc.users for f in user.frames.values())
-        assert len(calls) == expected > 0
+        rows = run_sweep(spec)
+        assert calls == [] and len(rows) == 4
+        sc = generate(cfg, 20.0, cell_seed(spec.seed, 0, 0))
+        assert any(sum(kept) < len(kept) for user in sc.users for kept in user.kept.values())
 
     def test_m5_row_does_not_depend_on_m4(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -1,16 +1,18 @@
-import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mecoff.correlation import pearson
 from mecoff.errors import ConfigError
 from mecoff.harness import SweepSpec, run_sweep
-from mecoff.methods import run_method
 from mecoff.model import snr
 from mecoff.scenario import (
     Scenario,
@@ -24,7 +26,7 @@ from mecoff.scenario import (
     synthesize_frames,
 )
 from mecoff.tune import MAX_TREE_DEPTH
-from oracles import reference_generate, reference_synthesize_frames
+from oracles import reference_filter, reference_generate, reference_synthesize_frames
 
 
 def small_config(**overrides):
@@ -40,17 +42,22 @@ def small_config(**overrides):
     return ScenarioConfig(**base)
 
 
-def scenarios_equal(a: Scenario, b: Scenario) -> bool:
+def scenarios_equal(a: Scenario, b: Scenario, rngs=None) -> bool:
+    """Same draw: units, channels, task counts, kept fractions and frame
+    bytes, and, given the two generators the scenarios were drawn from, the
+    same final bit-generator state."""
     if (a.snr_db, a.caps, a.mec, len(a.users)) != (b.snr_db, b.caps, b.mec, len(b.users)):
         return False
     for ua, ub in zip(a.users, b.users):
         if ua.units != ub.units or ua.channel != ub.channel or ua.n_tasks != ub.n_tasks:
             return False
-        if set(ua.frames) != set(ub.frames):
+        if sorted(ua.frames) != sorted(ub.frames) or dict(ua.kept) != dict(ub.kept):
             return False
-        if not all(np.array_equal(ua.frames[t], ub.frames[t]) for t in ua.frames):
-            return False
-    return True
+        for t in ua.frames:
+            fa, fb = ua.frames[t], ub.frames[t]
+            if (fa.shape, fa.dtype, fa.tobytes()) != (fb.shape, fb.dtype, fb.tobytes()):
+                return False
+    return rngs is None or rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 class TestSampleChannel:
@@ -112,17 +119,15 @@ class TestGenerate:
         cfg = small_config()
         assert scenarios_equal(generate(cfg, 20.0, 7), generate(cfg, 20.0, 7))
 
-    def test_filter_memo_leaves_equality_alone(self):
-        cfg = small_config()
-        a, b = generate(cfg, 20.0, 7), generate(cfg, 20.0, 7)
-        for u in range(len(a.users)):
-            run_method("M4", a, u)
-        assert a._filtered_units and not b._filtered_units
-        assert scenarios_equal(a, b)
-        assert (a.snr_db, a.caps, a.mec, a.config) == (b.snr_db, b.caps, b.mec, b.config)
-        assert "_filtered_units" not in repr(a)
-        fresh = dataclasses.replace(a)  # same users, empty memo
-        assert not fresh._filtered_units and fresh == a
+    def test_frames_reads_redraw_equal_arrays(self):
+        sc = generate(small_config(), 20.0, 7)
+        for user in sc.users:
+            for t in user.frames:
+                first = user.frames[t]
+                first[:] = 0.0  # each read is a fresh array, so this changes no later read
+                again, third = user.frames[t], user.frames[t]
+                assert again is not third and again.tobytes() == third.tobytes()
+                assert not np.array_equal(first, again)
 
     def test_different_seeds_differ(self):
         cfg = small_config()
@@ -231,17 +236,53 @@ class TestGenerateAgainstReference:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         sc = generate(cfg, snr_db, rng)  # default_rng hands a Generator back as is
         ref = reference_generate(cfg, snr_db, ref_rng)
-        assert len(sc.users) == len(ref.users)
-        for user, ref_user in zip(sc.users, ref.users):
-            assert user.units == ref_user.units
-            assert user.channel == ref_user.channel
-            assert user.n_tasks == ref_user.n_tasks
-            assert sorted(user.frames) == sorted(ref_user.frames)
-            for task, seq in user.frames.items():
-                ref_seq = ref_user.frames[task]
-                assert (seq.shape, seq.tobytes()) == (ref_seq.shape, ref_seq.tobytes())
-        assert (sc.caps, sc.mec, sc.snr_db) == (ref.caps, ref.mec, ref.snr_db)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert scenarios_equal(sc, ref, (rng, ref_rng))
+
+
+@st.composite
+def frame_configs(draw):
+    """Configs whose frames are filtered in both modes: 1-9 frames of 3-512
+    samples, correlation targets that reach +-1 and the signed-zero range."""
+    rho = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    frame_rho = draw(st.one_of(st.just((0.0, -0.0)), st.tuples(rho, rho).map(sorted).map(tuple)))
+    beta, alpha = sorted(draw(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99))))
+    assume(beta < alpha)
+    return small_config(
+        n_users=draw(st.integers(1, 2)),
+        tasks_per_user=(1, 2),
+        frames_per_task=draw(st.integers(1, 9)),
+        frame_len=draw(st.integers(3, 512)),
+        frame_rho=frame_rho,
+        alpha=alpha,
+        beta=beta,
+        filter_mode=draw(st.sampled_from(["multi", "single"])),
+    )
+
+
+class TestStreamedFilter:
+    """`generate` filters each frame as it is drawn; the kept fractions are
+    those of the reference filter over the frames `frames` re-draws."""
+
+    @given(frame_configs(), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_kept_matches_the_reference_filter(self, cfg, seed):
+        beta = cfg.beta if cfg.filter_mode == "multi" else cfg.alpha
+        for user in generate(cfg, 20.0, seed).users:
+            assert sorted(user.kept) == sorted(user.frames)
+            for t, kept in user.kept.items():
+                ref = reference_filter(user.frames[t], cfg.alpha, beta)
+                assert kept == tuple(d.kept_fraction for d in ref)
+
+    def test_peak_memory_below_one_task_of_frames(self):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "bench/workloads/frames_heavy.cfg")
+        generate(cfg, 20.0, 1)  # first call: lazy imports and caches
+        tracemalloc.start()
+        try:
+            generate(cfg, 20.0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.frames_per_task * cfg.frame_len * 8
 
 
 class TestValidateRejectsUnrunnableConfigs:
@@ -332,6 +373,77 @@ class TestConfigIo:
         path.write_text("alpha = 0.2\nbeta = 0.5\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_scalars_round_trip(self, tmp_path_factory, data):
+        cfg = data.draw(numpy_valued_configs())
+        path = tmp_path_factory.mktemp("cfg") / "scenario.cfg"
+        save_config(cfg, path)
+        assert "np." not in path.read_text()
+        assert load_config(path) == cfg
+
+
+@st.composite
+def numpy_valued_configs(draw):
+    """Configs that validate(), with Python or numpy scalars in scalar, pair
+    and tuple fields. Floats are 64-bit: validate() compares a float32 field
+    in float32, so a float32 range can hold only until it is saved."""
+    ints = st.sampled_from([int, np.int64, np.int32, np.uint16])
+    floats = st.sampled_from([float, np.float64])
+
+    def i(value):
+        return draw(ints)(value)
+
+    def f(value):
+        return draw(floats)(value)
+
+    units_hi = draw(st.integers(1, 4))
+    size_lo = draw(st.floats(units_hi, 1e7))
+    density_lo = draw(st.floats(1.0, 1e4))
+    rho_lo = draw(st.floats(-1.0, 1.0))
+    beta = draw(st.floats(0.01, 0.5))
+    cfg = ScenarioConfig(
+        n_users=i(draw(st.integers(1, 8))),
+        tasks_per_user=(i(1), i(draw(st.integers(1, 4)))),
+        units_per_task=(i(1), i(units_hi)),
+        task_size=(f(size_lo), f(size_lo * draw(st.floats(1.0, 3.0)))),
+        cycle_density=(f(density_lo), f(density_lo * 2)),
+        cycle_model=draw(st.sampled_from(["per_bit", "per_task"])),
+        bw=f(draw(st.floats(1e5, 1e8))),
+        kappa=f(draw(st.floats(1e-28, 1e-10))),
+        deadlines=tuple(f(d) for d in draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=3))),
+        user_deadline=f(draw(st.floats(1e-3, 2.0))),
+        target_snr_db=tuple(
+            f(s) for s in draw(st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=3))
+        ),
+        frames_per_task=i(draw(st.integers(1, 9))),
+        frame_len=i(draw(st.integers(3, 600))),
+        frame_rho=(f(rho_lo), f(draw(st.floats(rho_lo, 1.0)))),
+        alpha=f(draw(st.floats(beta + 0.01, 0.99))),
+        beta=f(beta),
+        filter_mode=draw(st.sampled_from(["multi", "single"])),
+        seed=i(draw(st.integers(0, 2**15))),
+    )
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    return cfg
+
+
+class TestSetUpImportPath:
+    def test_loading_a_config_imports_these_modules_only(self):
+        # the set-up path of every sweep: growing it is a deliberate change
+        code = ("import sys; from mecoff.scenario import load_config; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'mecoff'))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert eval(out) == [
+            "mecoff", "mecoff.correlation", "mecoff.errors", "mecoff.model",
+            "mecoff.scenario", "mecoff.schedule", "mecoff.tune",
+        ]
 
 
 

@@ -258,6 +258,25 @@ class TestOptimizeUser:
         assert max(gaps) <= 5e-3
 
 
+class TestProcessingOrderIsTheDeadlineOrder:
+    def test_loosening_a_deadline_can_raise_the_optimum(self):
+        # Units are served in deadline order, which is never searched. Here b
+        # (short upload, long server time) moves behind a when its deadline
+        # loosens to a's, so b's server time sits at the pipeline's tail and
+        # a higher rate is needed, though serving b first would still fit.
+        a, b = unit(0, d=1e6, w=5e7, deadline=0.1), unit(1, d=2e5, w=2e8, deadline=0.05)
+        ch, c = channel(mean_snr_at_1w=10.0), caps(user_deadline=0.3)
+        tight = optimize_user([a, b], ch, MEC, c)
+        loosened = [a, replace(b, deadline=0.1)]
+        loose = optimize_user(loosened, ch, MEC, c)
+        assert (tight.assignment.order, loose.assignment.order) == ((1, 0), (0, 1))
+        assert tight.assignment.bits == loose.assignment.bits == (1, 1)
+        assert loose.energy > tight.energy * 1.01
+        served_b_first = evaluate(tight.assignment, loosened, tight.f, tight.p, ch, MEC, c)
+        assert check_constraints(served_b_first, loosened, c).ok
+        assert served_b_first.e_total == tight.energy
+
+
 def accepted(asg, us, f, p, ch, c):
     """Whether the placement passes at (f, p); offloading over a zero-rate
     uplink fails it."""
